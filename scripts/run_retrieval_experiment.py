@@ -22,6 +22,7 @@ from shadesearch import (  # noqa: E402
     build_index,
     emit_report,
     generate_synthetic_corpus,
+    mean_scores,
     run_experiment,
     save_index,
 )
@@ -64,8 +65,7 @@ def main() -> int:
             f"{u_row.precision * 100:8.1f}%/{u_row.recall * 100:5.1f}%"
         )
     for mode, result in results.items():
-        mean_p = sum(r.precision for r in result.rows) / len(result.rows)
-        mean_r = sum(r.recall for r in result.rows) / len(result.rows)
+        mean_p, mean_r = mean_scores(result)
         print(f"mean {mode}: precision {mean_p * 100:.1f}%, recall {mean_r * 100:.1f}%")
 
     written = emit_report(results["shaded"], results["unshaded"], args.workdir / "report")

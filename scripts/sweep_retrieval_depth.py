@@ -19,6 +19,7 @@ from shadesearch import (  # noqa: E402
     PhongParams,
     build_index,
     generate_synthetic_corpus,
+    mean_scores,
     run_experiment,
 )
 
@@ -39,8 +40,7 @@ def main() -> int:
             line = [f"{k:>3}"]
             for index in (shaded, unshaded):
                 result = run_experiment(index, k=k, query_mode="all_queries_averaged")
-                mean_p = sum(r.precision for r in result.rows) / len(result.rows)
-                mean_r = sum(r.recall for r in result.rows) / len(result.rows)
+                mean_p, mean_r = mean_scores(result)
                 line.append(f"{mean_p * 100:8.1f}% {mean_r * 100:8.1f}%")
             print("  ".join(line))
     return 0

@@ -6,6 +6,7 @@ from .evaluation import (
     emit_report,
     generate_synthetic_corpus,
     make_eval_row,
+    mean_scores,
     precision,
     recall,
     run_experiment,
@@ -59,7 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EvalResult", "EvalRow", "emit_report", "generate_synthetic_corpus",
-    "make_eval_row", "precision", "recall", "run_experiment",
+    "make_eval_row", "mean_scores", "precision", "recall", "run_experiment",
     "FEATURE_NAMES", "ExtractionOptions", "FeatureVector", "extract_features",
     "GrayImage", "PpmDecodeError", "RgbImage", "decode_ppm", "encode_ppm",
     "read_ppm", "to_grayscale", "write_ppm",

@@ -23,16 +23,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import FeatureVector
 from .image import RgbImage, encode_ppm
 from .indexing import Index
-from .search import rank
 
 QUERY_MODES = ("per_category_first", "all_queries_averaged")
 
 SYNTHETIC_CATEGORIES = ("checker", "gradient", "hue", "noise", "stripes")
 IMAGES_PER_CATEGORY = 14
 SYNTHETIC_SIDE = 64
+
+# run_experiment computes query-vs-database distances a block of queries at a
+# time. One query's differences take as many bytes as the normalized matrix;
+# a block holds as many queries as fit in this budget, and at least one.
+_BLOCK_BYTES = 2 << 20
 
 
 def precision(relevant_retrieved: int, retrieved: int) -> float:
@@ -61,14 +64,6 @@ class EvalRow:
     precision: float
     recall: float
 
-    def __post_init__(self):
-        if self.relevant_retrieved > min(self.retrieved, self.relevant_in_db):
-            raise ValueError("relevant_retrieved exceeds retrieved or relevant_in_db")
-        if self.precision != self.relevant_retrieved / self.retrieved:
-            raise ValueError("precision does not match its counts")
-        if self.recall != self.relevant_retrieved / self.relevant_in_db:
-            raise ValueError("recall does not match its counts")
-
 
 def make_eval_row(category: str, relevant_retrieved: int, retrieved: int,
                   relevant_in_db: int) -> EvalRow:
@@ -89,12 +84,35 @@ class EvalResult:
     rows: tuple[EvalRow, ...]
 
 
+def _relevant_retrieved(matrix: np.ndarray, codes: np.ndarray, queries: np.ndarray,
+                        depth: int) -> np.ndarray:
+    """Same-category hits among each query's ``depth`` nearest other entries.
+
+    Distances use the subtract-square-sum order of ``rank``, so they match it
+    to the bit; a stable sort keeps ties in entry (path) order. Each query's
+    own column is set to inf, which excludes it by position.
+    """
+    rows = max(1, _BLOCK_BYTES // matrix.nbytes)
+    hits = np.empty(len(queries), dtype=np.int64)
+    for lo in range(0, len(queries), rows):
+        block = queries[lo:lo + rows]
+        diff = matrix[block, None, :] - matrix[None, :, :]
+        dist = np.sqrt(np.square(diff, out=diff).sum(axis=-1))
+        dist[np.arange(len(block)), block] = np.inf
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, :depth]
+        hits[lo:lo + rows] = (codes[nearest] == codes[block, None]).sum(axis=1)
+    return hits
+
+
 def run_experiment(index: Index, k: int,
                    query_mode: str = "per_category_first") -> EvalResult:
     """Per-category precision/recall at depth k with self-exclusion.
 
-    The result's mode is "shaded" when the index was built with shading
-    parameters, "unshaded" otherwise.
+    Every query is ranked exactly against the whole index, as ``rank`` would
+    rank it, from blocked all-pairs distances over the index's normalized
+    matrix. The result's mode is "shaded" when the index was built with
+    shading parameters, "unshaded" otherwise. A category with a single image
+    is rejected up front, since its recall has no relevant images to count.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -104,26 +122,37 @@ def run_experiment(index: Index, k: int,
     retrieved_per_query = min(k, len(entries) - 1)
     if retrieved_per_query < 1:
         raise ValueError("corpus too small: nothing to retrieve once the query is excluded")
-    by_category: dict[str, list] = {}
-    for entry in entries:  # entries are sorted by path
-        by_category.setdefault(entry.category, []).append(entry)
+    categories = sorted({e.category for e in entries})
+    code_of = {category: code for code, category in enumerate(categories)}
+    codes = np.array([code_of[e.category] for e in entries])
+    members = np.bincount(codes)
+    for category, count in zip(categories, members):
+        if count == 1:
+            raise ValueError(f"category {category!r} has a single image; recall is undefined")
 
-    rows = []
-    for category in sorted(by_category):
-        members = by_category[category]
-        queries = members[:1] if query_mode == "per_category_first" else members
-        relevant_total = 0
-        retrieved_total = 0
-        relevant_db_total = 0
-        for query in queries:
-            results = rank(FeatureVector(query.features), index, k=len(entries))
-            results = [r for r in results if r.path != query.path][:retrieved_per_query]
-            relevant_total += sum(1 for r in results if r.category == category)
-            retrieved_total += len(results)
-            relevant_db_total += len(members) - 1
-        rows.append(make_eval_row(category, relevant_total, retrieved_total, relevant_db_total))
+    if query_mode == "per_category_first":  # entries are sorted by path
+        queries = np.unique(codes, return_index=True)[1]
+    else:
+        queries = np.arange(len(entries))
+    hits = _relevant_retrieved(index.normalized, codes, queries, retrieved_per_query)
+    relevant = np.zeros(len(categories), dtype=np.int64)
+    np.add.at(relevant, codes[queries], hits)
+    asked = np.bincount(codes[queries], minlength=len(categories))
+
+    rows = tuple(
+        make_eval_row(category, int(relevant[c]), int(asked[c]) * retrieved_per_query,
+                      int(asked[c]) * (int(members[c]) - 1))
+        for c, category in enumerate(categories)
+    )
     mode = "shaded" if index.phong is not None else "unshaded"
-    return EvalResult(k=k, mode=mode, rows=tuple(rows))
+    return EvalResult(k=k, mode=mode, rows=rows)
+
+
+def mean_scores(result: EvalResult) -> tuple[float, float]:
+    """Unweighted mean precision and recall over the result's categories."""
+    rows = result.rows
+    return (sum(r.precision for r in rows) / len(rows),
+            sum(r.recall for r in rows) / len(rows))
 
 
 def _pct(ratio: float) -> str:

@@ -10,7 +10,10 @@ sorted by path so rebuilding an unchanged tree is byte-identical.
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .features import (
     DEFAULT_EXTRACTION,
@@ -21,7 +24,7 @@ from .features import (
     validate_feature_ranges,
 )
 from .image import PpmDecodeError, decode_ppm
-from .search import Normalizer, fit_normalizer
+from .search import Normalizer, fit_normalizer, normalize_rows
 from .shading import PhongParams
 
 INDEX_FORMAT_VERSION = 1
@@ -52,6 +55,20 @@ class Index:
     opts: ExtractionOptions
     normalizer: Normalizer
     entries: tuple[IndexEntry, ...]
+
+    @cached_property
+    def normalized(self) -> np.ndarray:
+        """Read-only (N, FEATURE_COUNT) matrix of normalized features in entry order.
+
+        Built on first use and kept for the life of the index; row i is
+        ``normalize(entries[i].features, normalizer)`` to the bit.
+        """
+        raw = np.array([e.features for e in self.entries], dtype=np.float64)
+        matrix = np.ascontiguousarray(
+            normalize_rows(raw.reshape(len(self.entries), FEATURE_COUNT), self.normalizer)
+        )
+        matrix.flags.writeable = False
+        return matrix
 
 
 def scan_corpus(root) -> list[tuple[str, str]]:

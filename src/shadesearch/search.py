@@ -64,33 +64,46 @@ def fit_normalizer(raw_vectors: Iterable) -> Normalizer:
     return Normalizer(mins=tuple(matrix.min(axis=0)), maxs=tuple(matrix.max(axis=0)))
 
 
-def normalize(v, n: Normalizer) -> np.ndarray:
-    """Min-max scale one vector; constant dimensions map to 0, no clamping."""
-    values = _values(v)
+def normalize_rows(values: np.ndarray, n: Normalizer) -> np.ndarray:
+    """Min-max scale the last axis of values; constant dimensions map to 0, no clamping.
+
+    Elementwise, so scaling an (N, d) matrix at once gives every row the
+    same bits as scaling it alone with ``normalize``.
+    """
     mins = np.asarray(n.mins)
     maxs = np.asarray(n.maxs)
-    if values.shape != mins.shape:
-        raise ValueError(f"dimension mismatch: {values.shape} vs {mins.shape}")
     span = maxs - mins
     safe = np.where(span > 0, span, 1.0)
     return np.where(span > 0, (values - mins) / safe, 0.0)
 
 
+def normalize(v, n: Normalizer) -> np.ndarray:
+    """Min-max scale one vector; constant dimensions map to 0, no clamping."""
+    values = _values(v)
+    if values.shape != (len(n.mins),):
+        raise ValueError(f"dimension mismatch: {values.shape} vs {(len(n.mins),)}")
+    return normalize_rows(values, n)
+
+
 def rank(query: FeatureVector, index: "Index", k: int) -> list[RankedResult]:
     """Top-k index entries by Euclidean distance to the normalized query.
 
-    Ties are broken by path so output is deterministic; returns
-    min(k, corpus size) results sorted by (distance, path).
+    Exact brute force over the index's cached normalized matrix: one
+    subtract-square-sum per entry, in the same order as
+    ``euclidean_distance``, so distances match it to the bit. Ties are broken
+    by path, which relies on the entries being sorted by path: a stable sort
+    keeps equal distances in entry order. ``build_index`` sorts them and
+    ``load_index`` rejects an unsorted index. Returns min(k, corpus size)
+    results sorted by (distance, path).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not index.entries:
         raise ValueError("cannot rank against an empty index")
-    n = index.normalizer
-    q = normalize(query, n)
-    scored = [
-        RankedResult(e.path, e.category, euclidean_distance(q, normalize(e.features, n)))
-        for e in index.entries
+    q = normalize(query, index.normalizer)
+    dist = np.sqrt(((index.normalized - q) ** 2).sum(axis=-1))
+    entries = index.entries
+    return [
+        RankedResult(entries[i].path, entries[i].category, float(dist[i]))
+        for i in np.argsort(dist, kind="stable")[:k]
     ]
-    scored.sort(key=lambda r: (r.distance, r.path))
-    return scored[: min(k, len(scored))]

@@ -1,20 +1,31 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import shadesearch
+from shadesearch import evaluation
 from shadesearch.evaluation import (
+    QUERY_MODES,
     EvalResult,
     emit_report,
     generate_synthetic_corpus,
     make_eval_row,
+    mean_scores,
     precision,
     recall,
     run_experiment,
 )
+from shadesearch.features import FEATURE_COUNT, ExtractionOptions, FeatureVector
 from shadesearch.image import RgbImage, encode_ppm
-from shadesearch.indexing import build_index
+from shadesearch.indexing import Index, IndexEntry, build_index
+from shadesearch.search import fit_normalizer, rank
 
 # Published per-category relevant-retrieved counts at 12 retrieved out of
 # 14 relevant, with the percentages as printed (rounding varies by row).
@@ -69,6 +80,50 @@ def brute_force_rows(index, k: int, query_mode: str) -> dict[str, tuple[int, int
             rel += len(members) - 1
         rows[cat] = (rr, tot, rel)
     return rows
+
+
+def rank_and_filter_result(index, k: int, query_mode: str) -> EvalResult:
+    """Reference evaluation: rank the whole index per query, drop the query by path."""
+    entries = index.entries
+    retrieved_per_query = min(k, len(entries) - 1)
+    by_category: dict[str, list] = {}
+    for entry in entries:
+        by_category.setdefault(entry.category, []).append(entry)
+    rows = []
+    for category in sorted(by_category):
+        members = by_category[category]
+        queries = members[:1] if query_mode == "per_category_first" else members
+        relevant_total = retrieved_total = relevant_db_total = 0
+        for query in queries:
+            results = rank(FeatureVector(query.features), index, k=len(entries))
+            results = [r for r in results if r.path != query.path][:retrieved_per_query]
+            relevant_total += sum(1 for r in results if r.category == category)
+            retrieved_total += len(results)
+            relevant_db_total += len(members) - 1
+        rows.append(make_eval_row(category, relevant_total, retrieved_total, relevant_db_total))
+    mode = "shaded" if index.phong is not None else "unshaded"
+    return EvalResult(k=k, mode=mode, rows=tuple(rows))
+
+
+@st.composite
+def evaluation_cases(draw):
+    """An index whose categories all hold at least two images, with tied rows."""
+    sizes = draw(st.lists(st.integers(2, 6), min_size=1, max_size=4))
+    pool = draw(st.lists(
+        st.lists(st.integers(0, 3).map(float), min_size=FEATURE_COUNT, max_size=FEATURE_COUNT),
+        min_size=1, max_size=8,
+    ))
+    rows = {
+        f"cat{c}/{i:02d}.ppm": tuple(draw(st.sampled_from(pool)))
+        for c, size in enumerate(sizes) for i in range(size)
+    }
+    entries = tuple(
+        IndexEntry(path=path, category=path.split("/")[0], features=row)
+        for path, row in sorted(rows.items())
+    )
+    index = Index(version=1, phong=None, opts=ExtractionOptions(),
+                  normalizer=fit_normalizer([e.features for e in entries]), entries=entries)
+    return index, draw(st.integers(1, len(entries) + 2))
 
 
 class TestPrecisionRecall:
@@ -158,6 +213,34 @@ class TestRunExperiment:
                 }
                 assert got == expected
 
+    @given(evaluation_cases())
+    def test_matches_rank_and_filter_reference_across_block_sizes(self, case):
+        index, k = case
+        per_query_bytes = index.normalized.nbytes
+        for mode in QUERY_MODES:
+            want = rank_and_filter_result(index, k, mode)
+            assert run_experiment(index, k=k, query_mode=mode) == want
+            # one query per block, then three with a partial last block
+            for rows in (1, 3):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(evaluation, "_BLOCK_BYTES", rows * per_query_bytes)
+                    assert run_experiment(index, k=k, query_mode=mode) == want
+
+    def test_single_image_category_named_before_ranking(self, tmp_path, monkeypatch):
+        images = {f"pair/{i}.ppm": constant_image((100 + i, 50, 50)) for i in range(2)}
+        images["solo/0.ppm"] = constant_image((10, 10, 200))
+        write_corpus(tmp_path, images)
+        index = build_index(tmp_path)
+
+        def no_ranking(*args):
+            raise AssertionError("ranking started before the corpus was checked")
+
+        monkeypatch.setattr(evaluation, "_relevant_retrieved", no_ranking)
+        for mode in QUERY_MODES:
+            with pytest.raises(ValueError,
+                               match="category 'solo' has a single image; recall is undefined"):
+                run_experiment(index, k=2, query_mode=mode)
+
     def test_mode_reflects_index_shading(self, tmp_path):
         index = self.separable_corpus(tmp_path)
         assert run_experiment(index, k=2).mode == "unshaded"
@@ -175,6 +258,35 @@ class TestRunExperiment:
         index = self.separable_corpus(tmp_path)
         with pytest.raises(ValueError, match="query_mode"):
             run_experiment(index, k=2, query_mode="sideways")
+
+
+def test_single_image_category_fails_eval_cli_cleanly(tmp_path):
+    corpus = tmp_path / "corpus"
+    generate_synthetic_corpus(corpus, seed=42)
+    (corpus / "solo").mkdir()
+    (corpus / "solo" / "00.ppm").write_bytes((corpus / "hue" / "00.ppm").read_bytes())
+    env = dict(os.environ, PYTHONPATH=str(Path(shadesearch.__file__).resolve().parents[1]))
+
+    def cli(*args):
+        return subprocess.run([sys.executable, "-m", "shadesearch", *map(str, args)],
+                              capture_output=True, text=True, env=env)
+
+    assert cli("index", corpus, "--out", tmp_path / "s.json", "--phong").returncode == 0
+    assert cli("index", corpus, "--out", tmp_path / "u.json").returncode == 0
+    done = cli("eval", tmp_path / "s.json", tmp_path / "u.json",
+               "--report-dir", tmp_path / "report")
+    assert done.returncode == 1
+    assert done.stderr == (
+        "error: category 'solo' has a single image; recall is undefined\n"
+    )
+    assert done.stdout == ""
+    assert not (tmp_path / "report").exists()
+
+
+def test_mean_scores_average_rows_unweighted():
+    result = EvalResult(k=12, mode="shaded", rows=(
+        make_eval_row("a", 6, 12, 14), make_eval_row("b", 9, 12, 14)))
+    assert mean_scores(result) == ((6 / 12 + 9 / 12) / 2, (6 / 14 + 9 / 14) / 2)
 
 
 def table_results() -> tuple[EvalResult, EvalResult]:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -33,6 +34,43 @@ def small_index(feature_rows: dict[str, tuple]) -> Index:
 
 def pad15(*values: float) -> tuple:
     return tuple(values) + (0.0,) * (FEATURE_COUNT - len(values))
+
+
+def scalar_rank(query: FeatureVector, index: Index, k: int) -> list[tuple[str, float]]:
+    """Reference ranking: normalize and measure each entry alone, sort by (distance, path)."""
+    n = index.normalizer
+    q = normalize(query, n)
+    scored = sorted(
+        (euclidean_distance(q, normalize(e.features, n)), e.path) for e in index.entries
+    )
+    return [(path, distance) for distance, path in scored[:k]]
+
+
+# Coarse values make coincident coordinates (and so tied distances) common;
+# rounding keeps every nonzero span above 1e-6, so no distance overflows.
+slot_values = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False).map(lambda v: round(v, 6)),
+)
+
+
+@st.composite
+def ranking_cases(draw):
+    """An index with duplicate rows and constant dimensions, a query, and a depth k."""
+    count = draw(st.integers(1, 25))
+    pool = draw(st.lists(st.lists(slot_values, min_size=15, max_size=15),
+                         min_size=1, max_size=count))
+    rows = [list(draw(st.sampled_from(pool))) for _ in range(count)]
+    for d in draw(st.sets(st.integers(0, FEATURE_COUNT - 1))):
+        for row in rows:
+            row[d] = rows[0][d]
+    index = small_index({f"c{i % 3}/{i:02d}.ppm": tuple(row) for i, row in enumerate(rows)})
+    # an indexed row, or slots that may fall far outside the corpus range
+    query = draw(st.one_of(
+        st.sampled_from(rows),
+        st.lists(st.floats(-1e4, 1e4, allow_nan=False), min_size=15, max_size=15),
+    ))
+    return index, FeatureVector(tuple(query)), draw(st.integers(1, count + 5))
 
 
 class TestEuclideanDistance:
@@ -159,6 +197,21 @@ class TestRank:
         base = rank(FeatureVector(query), small_index(rows), k=10)
         scaled = rank(FeatureVector(scaled_query), small_index(scaled_rows), k=10)
         assert [r.path for r in base] == [r.path for r in scaled]
+
+    @given(ranking_cases())
+    def test_matches_scalar_reference_to_the_bit(self, case):
+        index, query, k = case
+        got = [(r.path, r.distance) for r in rank(query, index, k=k)]
+        assert got == scalar_rank(query, index, k)
+
+    def test_normalized_matrix_is_cached_and_read_only(self):
+        index = small_index({"a/x.ppm": pad15(0.0, 4.0), "b/y.ppm": pad15(2.0, 4.0)})
+        matrix = index.normalized
+        assert matrix is index.normalized
+        assert matrix.shape == (2, FEATURE_COUNT) and matrix.flags.c_contiguous
+        assert not matrix.flags.writeable
+        for row, entry in zip(matrix, index.entries):
+            assert np.array_equal(row, normalize(entry.features, index.normalizer))
 
     def test_rejects_bad_k(self):
         index = small_index({"a/x.ppm": pad15(0.0)})
