@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_index = sub.add_parser("index", help="build and persist a feature database")
-    p_index.add_argument("root", help="corpus root (category = parent directory)")
+    p_index.add_argument("root", help="corpus root (category = top-level directory)")
     p_index.add_argument("--out", required=True, help="output index file")
     p_index.add_argument("--phong", action="store_true", help="shade images before extraction")
     _add_phong_flags(p_index)

@@ -126,10 +126,13 @@ def decode_ppm(data) -> RgbImage:
     header: dict[str, int] = {}
     for field in ("width", "height", "maxval"):
         token, pos = _next_token(data, pos, field)
+        # ASCII digits only: int() would also take signs and underscores.
+        if not token.isdigit():
+            raise PpmDecodeError(f"non-numeric {field} token {token!r}")
         try:
-            header[field] = int(token.decode("ascii"))
-        except (UnicodeDecodeError, ValueError):
-            raise PpmDecodeError(f"non-numeric {field} token {token!r}") from None
+            header[field] = int(token)
+        except ValueError:  # more digits than int() converts
+            raise PpmDecodeError(f"{field} token has too many digits ({len(token)})") from None
     width, height, maxval = header["width"], header["height"], header["maxval"]
     if width < 1 or height < 1:
         raise PpmDecodeError(f"non-positive dimensions {width}x{height}")

@@ -2,13 +2,14 @@
 
 An index is a single JSON document: format version, the shading parameters
 used (or null), the extraction options, the fitted normalizer, and one entry
-per image holding its corpus-relative path, category (immediate parent
-directory name), and raw feature values at full float precision. Entries are
-sorted by path so rebuilding an unchanged tree is byte-identical.
+per image holding its corpus-relative path, category (the top-level
+directory of that path), and raw feature values at full float precision.
+Entries are sorted by path so rebuilding an unchanged tree is byte-identical.
 """
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -74,19 +75,23 @@ class Index:
 def scan_corpus(root) -> list[tuple[str, str]]:
     """List (relative path, category) for every image under root, sorted by path.
 
-    The category is the image's immediate parent directory name. Raises
-    EmptyCorpusError when nothing matches IMAGE_EXTENSIONS.
+    The category is the first component of the relative path: the top-level
+    directory the image sits in, however deep. Raises EmptyCorpusError when
+    nothing matches IMAGE_EXTENSIONS, and ValueError naming an image that
+    lies directly under root, outside any category.
     """
     root = Path(root)
     if not root.is_dir():
         raise NotADirectoryError(f"corpus root {root} is not a readable directory")
-    found = sorted(
-        (p.relative_to(root).as_posix(), p.parent.name)
-        for p in root.rglob("*")
-        if p.is_file() and p.suffix.lower() in IMAGE_EXTENSIONS
-    )
+    images = (p.relative_to(root) for p in root.rglob("*")
+              if p.is_file() and p.suffix.lower() in IMAGE_EXTENSIONS)
+    found = sorted((rel.as_posix(), rel.parts[0]) for rel in images)
     if not found:
         raise EmptyCorpusError(f"no {'/'.join(IMAGE_EXTENSIONS)} images found under {root}")
+    for rel, category in found:
+        if rel == category:  # a one-component path: the image sits in root itself
+            raise ValueError(f"{root / rel}: image lies directly under the corpus root, "
+                             "outside any category directory")
     return found
 
 
@@ -140,10 +145,22 @@ def _index_to_doc(ix: Index) -> dict:
 
 
 def save_index(ix: Index, path) -> None:
-    """Persist as deterministic JSON; floats keep full round-trip precision."""
+    """Persist as deterministic JSON; floats keep full round-trip precision.
+
+    The document is written to a temporary file in the same directory, which
+    then replaces ``path``, so a write that fails part-way leaves any index
+    already at ``path`` as it was.
+    """
     text = json.dumps(_index_to_doc(ix), indent=2) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _require(doc: dict, key: str, kind: type, where: str):

@@ -17,6 +17,12 @@ are split along the diagonal into two triangles so that an affine
 interpolant (N = A*x + B*y + C) reproduces every corner exactly; because the
 light and view directions are global constants, the interpolated halfway
 vector is constant per image (D = E = 0).
+
+Both modes work on whole arrays. The tiled mode builds small per-cell
+coefficient tables and evaluates every pixel from them in one pass, so it is
+the cheaper of the two. ``tile_ndoth`` and ``TileInterpolant`` are the scalar
+definition of a tiled pixel, which the whole-array code reproduces to the
+bit; they serve as the oracle for tests and are not called when shading.
 """
 
 import math
@@ -119,6 +125,34 @@ class NormalField:
         return self.normals.shape[0]
 
 
+def _normalized(dhdx: np.ndarray, dhdy: np.ndarray) -> np.ndarray:
+    n = np.stack((-dhdx, -dhdy, np.ones_like(dhdx)), axis=2)
+    n /= np.linalg.norm(n, axis=2, keepdims=True)
+    return n
+
+
+def _unit_normals(gray: GrayImage, height_scale: float) -> np.ndarray:
+    # height_field_normals without NormalField's re-check of every length.
+    h = gray.pixels.astype(np.float64) * (height_scale / 255.0)
+    padded = np.pad(h, 1, mode="edge")
+    dhdx = (padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0
+    dhdy = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
+    return _normalized(dhdx, dhdy)
+
+
+def _lattice_normals(gray: GrayImage, height_scale: float,
+                     ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    # _unit_normals at rows ys and columns xs only, by the same arithmetic on
+    # the same (edge-replicated) neighbours, so equal to it to the bit there.
+    h = gray.pixels.astype(np.float64) * (height_scale / 255.0)
+    last_y, last_x = h.shape[0] - 1, h.shape[1] - 1
+    dhdx = (h[np.ix_(ys, np.minimum(xs + 1, last_x))]
+            - h[np.ix_(ys, np.maximum(xs - 1, 0))]) / 2.0
+    dhdy = (h[np.ix_(np.minimum(ys + 1, last_y), xs)]
+            - h[np.ix_(np.maximum(ys - 1, 0), xs)]) / 2.0
+    return _normalized(dhdx, dhdy)
+
+
 def height_field_normals(gray: GrayImage, height_scale: float) -> NormalField:
     """Unit normals of z = height_scale * gray / 255.
 
@@ -127,13 +161,7 @@ def height_field_normals(gray: GrayImage, height_scale: float) -> NormalField:
     """
     if height_scale <= 0:
         raise ValueError("height_scale must be > 0")
-    h = gray.pixels.astype(np.float64) * (height_scale / 255.0)
-    padded = np.pad(h, 1, mode="edge")
-    dhdx = (padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0
-    dhdy = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
-    n = np.stack((-dhdx, -dhdy, np.ones_like(h)), axis=2)
-    n /= np.linalg.norm(n, axis=2, keepdims=True)
-    return NormalField(n)
+    return NormalField(_unit_normals(gray, height_scale))
 
 
 def phong_intensity(n_dot_l: float, n_dot_h: float, p: PhongParams) -> float:
@@ -146,22 +174,27 @@ def phong_intensity(n_dot_l: float, n_dot_h: float, p: PhongParams) -> float:
 def _compose_shaded(pixels: np.ndarray, n_dot_l: np.ndarray, n_dot_h: np.ndarray,
                     p: PhongParams) -> RgbImage:
     # Shared by both shading modes so they apply bit-identical arithmetic:
-    # c' = clamp(round(ia*ka*c + il*kd*(N.L)*c + 255*il*ks*(N.H)^ns)).
+    # c' = clamp(round(ia*ka*c + il*kd*(N.L)*c + 255*il*ks*(N.H)^ns)), summed
+    # left to right. In place, so that it holds two (height, width, 3) float
+    # arrays at a time rather than one per term.
     rgb = pixels.astype(np.float64)
-    ambient = p.ia * p.ka * rgb
-    diffuse = (p.il * p.kd * n_dot_l)[..., None] * rgb
-    highlight = (255.0 * p.il * p.ks * n_dot_h**p.ns)[..., None]
-    shaded = np.clip(np.floor(ambient + diffuse + highlight + 0.5), 0.0, 255.0)
+    shaded = p.ia * p.ka * rgb
+    rgb *= (p.il * p.kd * n_dot_l)[..., None]
+    shaded += rgb
+    shaded += (255.0 * p.il * p.ks * n_dot_h**p.ns)[..., None]
+    shaded += 0.5
+    np.floor(shaded, out=shaded)
+    np.clip(shaded, 0.0, 255.0, out=shaded)
     return RgbImage(shaded.astype(np.uint8))
 
 
 def shade_image(img: RgbImage, p: PhongParams) -> RgbImage:
     """Per-pixel Phong shading with exact height-field normals."""
-    field = height_field_normals(to_grayscale(img), p.height_scale)
+    normals = _unit_normals(to_grayscale(img), p.height_scale)
     light = np.asarray(p.light_dir)
     half = np.asarray(p.halfway)
-    n_dot_l = np.maximum(field.normals @ light, 0.0)
-    n_dot_h = np.maximum(field.normals @ half, 0.0)
+    n_dot_l = np.maximum(normals @ light, 0.0)
+    n_dot_h = np.maximum(normals @ half, 0.0)
     return _compose_shaded(img.pixels, n_dot_l, n_dot_h, p)
 
 
@@ -206,20 +239,68 @@ def tile_ndoth(t: TileInterpolant, x: float, y: float) -> float:
     return min(1.0, max(-1.0, value))
 
 
-def _lattice(extent: int, tile: int) -> list[int]:
+def _cells(extent: int, tile: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lattice marks along one axis, and each pixel's cell and offset in it.
+
+    Marks fall every ``tile`` pixels plus the far edge. Cell i runs from
+    marks[i] to marks[i + 1], and the last cell also takes the far edge. A
+    1-pixel extent has marks [0, 0]: one cell of span 0.
+    """
     marks = list(range(0, extent, tile))
-    if marks[-1] != extent - 1:
+    if len(marks) == 1 or marks[-1] != extent - 1:
         marks.append(extent - 1)
-    return marks
+    marks = np.array(marks)
+    pixels = np.arange(extent)
+    cell = np.minimum(np.searchsorted(marks, pixels, side="right") - 1, len(marks) - 2)
+    return marks, cell, pixels - marks[cell]
 
 
-_ZERO3: Vec3 = (0.0, 0.0, 0.0)
+def _clamped_cosines(nx: np.ndarray, ny: np.ndarray, nz: np.ndarray, nn: np.ndarray,
+                     vec: Vec3) -> np.ndarray:
+    # tile_ndoth's arithmetic in its operation order, one plane at a time.
+    # Its constant interpolant is 0*x + 0*y + f, which at x, y >= 0 is 0.0 + f.
+    hx, hy, hz = (0.0 + f for f in vec)
+    hn = math.sqrt(hx * hx + hy * hy + hz * hz)
+    value = (nx * hx + ny * hy + nz * hz) / (nn * hn)
+    # max(min(1, max(-1, v)), 0) as Python evaluates it, so -0.0 stays -0.0.
+    np.minimum(value, 1.0, out=value)
+    value[value < 0.0] = 0.0
+    return value
 
 
-def _delta(hi: np.ndarray, lo: np.ndarray, span: int) -> Vec3:
-    if span == 0:
-        return _ZERO3
-    return tuple((hi - lo) / span)
+def _tile_cosines(gray: GrayImage, tile: int,
+                  p: PhongParams) -> tuple[np.ndarray, np.ndarray]:
+    # Clamped N.L and N.H planes of shade_image_tiled. Kept apart so that the
+    # interpolated normal planes are freed before composition.
+    marks_x, cell_x, lx = _cells(gray.width, tile)
+    marks_y, cell_y, ly = _cells(gray.height, tile)
+    cell_y, ly = cell_y[:, None], ly[:, None]  # as columns, to broadcast over rows
+    dx, dy = np.diff(marks_x), np.diff(marks_y)
+    corners = _lattice_normals(gray, p.height_scale, marks_y, marks_x)
+    n00, n10 = corners[:-1, :-1], corners[:-1, 1:]
+    n01, n11 = corners[1:, :-1], corners[1:, 1:]
+    # A zero span joins a corner to itself: hi - lo is 0, and dividing it by
+    # 1 gives the slope 0.
+    span_x = np.maximum(dx, 1)[None, :, None]
+    span_y = np.maximum(dy, 1)[:, None, None]
+    # N = a*lx + b*ly + c per cell, in local (x - x0, y - y0): the upper-left
+    # triangle is anchored at n00, the lower-right at the opposite corners.
+    table = np.array([
+        ((n10 - n00) / span_x, (n01 - n00) / span_y, n00),
+        ((n11 - n01) / span_x, (n11 - n10) / span_y, n10 + n01 - n11),
+    ])  # (triangle, coefficient, cell row, cell column, component)
+    table = table.transpose(4, 1, 0, 2, 3).reshape(3, 3, -1)
+    # Integer triangle rule; along a zero span the offset is 0, so the upper
+    # triangle is taken there.
+    lower = lx * dy[cell_y] + ly * dx[cell_x] > dx[cell_x] * dy[cell_y]
+    cell = (lower * len(dy) + cell_y) * len(dx) + cell_x
+    nx, ny, nz = (a.take(cell) * lx + b.take(cell) * ly + c.take(cell) for a, b, c in table)
+    nn = np.sqrt(nx * nx + ny * ny + nz * nz)
+    if not nn.all():
+        y, x = np.argwhere(nn == 0.0)[0]
+        raise DegenerateInterpolantError(f"zero-length interpolated normal at ({x}, {y})")
+    return (_clamped_cosines(nx, ny, nz, nn, p.light_dir),
+            _clamped_cosines(nx, ny, nz, nn, p.halfway))
 
 
 def shade_image_tiled(img: RgbImage, p: PhongParams, tile: int) -> RgbImage:
@@ -228,52 +309,11 @@ def shade_image_tiled(img: RgbImage, p: PhongParams, tile: int) -> RgbImage:
     Exact normals are sampled every ``tile`` pixels (plus the far edge); each
     lattice cell is split into two triangles carrying affine interpolants in
     local coordinates, so lattice points reproduce the exact per-pixel
-    normals. Output uses the same composition as shade_image.
+    normals. Every pixel's cosines equal ``tile_ndoth`` on its triangle's
+    ``TileInterpolant`` to the bit, computed over whole arrays. Output uses
+    the same composition as shade_image.
     """
     if tile < 2:
         raise ValueError("tile size must be at least 2")
-    field = height_field_normals(to_grayscale(img), p.height_scale)
-    normals = field.normals
-    h, w = field.height, field.width
-    xs = _lattice(w, tile)
-    ys = _lattice(h, tile)
-    light = p.light_dir
-    halfway = p.halfway
-    n_dot_l = np.empty((h, w))
-    n_dot_h = np.empty((h, w))
-    nx_cells = max(1, len(xs) - 1)
-    ny_cells = max(1, len(ys) - 1)
-    for j in range(ny_cells):
-        y0 = ys[j]
-        y1 = ys[j + 1] if len(ys) > 1 else y0
-        y_stop = (y1 + 1) if j == ny_cells - 1 else y1
-        for i in range(nx_cells):
-            x0 = xs[i]
-            x1 = xs[i + 1] if len(xs) > 1 else x0
-            x_stop = (x1 + 1) if i == nx_cells - 1 else x1
-            dx, dy = x1 - x0, y1 - y0
-            n00, n10 = normals[y0, x0], normals[y0, x1]
-            n01, n11 = normals[y1, x0], normals[y1, x1]
-            # Upper-left triangle anchored at n00; lower-right at the
-            # opposite corners. Coefficients live in local (x-x0, y-y0).
-            upper = (_delta(n10, n00, dx), _delta(n01, n00, dy), tuple(n00))
-            lower = (_delta(n11, n01, dx), _delta(n11, n10, dy), tuple(n10 + n01 - n11))
-            interps = {
-                True: (
-                    TileInterpolant(*upper, _ZERO3, _ZERO3, halfway),
-                    TileInterpolant(*upper, _ZERO3, _ZERO3, light),
-                ),
-                False: (
-                    TileInterpolant(*lower, _ZERO3, _ZERO3, halfway),
-                    TileInterpolant(*lower, _ZERO3, _ZERO3, light),
-                ),
-            }
-            for y in range(y0, y_stop):
-                ly = y - y0
-                for x in range(x0, x_stop):
-                    lx = x - x0
-                    on_upper = dx == 0 or dy == 0 or lx * dy + ly * dx <= dx * dy
-                    t_h, t_l = interps[on_upper]
-                    n_dot_h[y, x] = max(tile_ndoth(t_h, lx, ly), 0.0)
-                    n_dot_l[y, x] = max(tile_ndoth(t_l, lx, ly), 0.0)
+    n_dot_l, n_dot_h = _tile_cosines(to_grayscale(img), tile, p)
     return _compose_shaded(img.pixels, n_dot_l, n_dot_h, p)

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from shadesearch.image import RgbImage
 
 
 def random_rgb(rng: np.random.Generator, width: int, height: int) -> RgbImage:
     return RgbImage(rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8))
+
+
+@st.composite
+def rgb_images(draw, max_side: int = 8) -> RgbImage:
+    w = draw(st.integers(1, max_side))
+    h = draw(st.integers(1, max_side))
+    data = draw(st.binary(min_size=3 * w * h, max_size=3 * w * h))
+    return RgbImage(np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3))
 
 
 @pytest.fixture

@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import shadesearch
 from shadesearch.cli import main
 from shadesearch.image import decode_ppm, encode_ppm
 
@@ -40,6 +45,23 @@ class TestIndexCommand:
         captured = capsys.readouterr()
         assert "error" in captured.err and "no" in captured.err
         assert captured.out == ""
+
+    def test_root_level_image_fails_with_one_line(self, tmp_path, rng):
+        corpus = tmp_path / "c"
+        (corpus / "a").mkdir(parents=True)
+        for rel in ("a/00.ppm", "root.ppm"):
+            (corpus / rel).write_bytes(encode_ppm(random_rgb(rng, 4, 4)))
+        env = dict(os.environ, PYTHONPATH=str(Path(shadesearch.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "shadesearch", "index", str(corpus),
+             "--out", str(tmp_path / "ix.json")],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 1
+        assert done.stderr == (f"error: {corpus / 'root.ppm'}: image lies directly under "
+                               "the corpus root, outside any category directory\n")
+        assert done.stdout == ""
+        assert not (tmp_path / "ix.json").exists()
 
 
 class TestQueryCommand:

@@ -13,7 +13,7 @@ from shadesearch.image import (
     to_grayscale,
 )
 
-from conftest import random_rgb
+from conftest import random_rgb, rgb_images
 
 
 def reference_ppm_read(data: bytes) -> tuple[int, int, bytes]:
@@ -32,14 +32,6 @@ def reference_ppm_read(data: bytes) -> tuple[int, int, bytes]:
     assert maxval == 255
     payload = data[pos + 1 : pos + 1 + 3 * w * h]
     return w, h, payload
-
-
-@st.composite
-def rgb_images(draw, max_side: int = 8) -> RgbImage:
-    w = draw(st.integers(1, max_side))
-    h = draw(st.integers(1, max_side))
-    data = draw(st.binary(min_size=3 * w * h, max_size=3 * w * h))
-    return RgbImage(np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3))
 
 
 class TestDecode:
@@ -76,6 +68,38 @@ class TestDecode:
     def test_non_numeric_header_token(self):
         with pytest.raises(PpmDecodeError, match="width"):
             decode_ppm(b"P6 x 2 255 " + bytes(18))
+
+    @pytest.mark.parametrize("header, field", [
+        (b"P6 1_0 +1 2_55\n", "width"),
+        (b"P6 10 +1 255\n", "height"),
+        (b"P6 10 1 2_55\n", "maxval"),
+        (b"P6 -3 1 255\n", "width"),
+        (b"P6 \xd9\xa3 1 255\n", "width"),  # ARABIC-INDIC DIGIT THREE in UTF-8
+    ])
+    def test_header_numbers_are_ascii_digits_only(self, header, field):
+        with pytest.raises(PpmDecodeError, match=field):
+            decode_ppm(header + bytes(30))
+
+    def test_overlong_header_number(self):
+        with pytest.raises(PpmDecodeError, match="width"):
+            decode_ppm(b"P6 " + b"9" * 5000 + b" 1 255\n")
+
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes_raise_only_decode_errors(self, data):
+        try:
+            decode_ppm(data)
+        except PpmDecodeError:
+            pass
+
+    @given(st.lists(st.sampled_from([b"3", b"2", b"255", b"0", b"+1", b"1_0",
+                                     b"-2", b"x", b"\xff", b"#c\n", b"#", b" ", b"\n",
+                                     b"\t"]), max_size=12),
+           st.binary(max_size=40))
+    def test_header_shaped_bytes_raise_only_decode_errors(self, tokens, payload):
+        try:
+            decode_ppm(b"P6 " + b"".join(tokens) + payload)
+        except PpmDecodeError:
+            pass
 
 
 class TestEncode:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from shadesearch import indexing
 from shadesearch.features import ExtractionOptions
 from shadesearch.image import PpmDecodeError, RgbImage, encode_ppm
 from shadesearch.indexing import (
@@ -55,9 +56,25 @@ class TestScanCorpus:
         expected = [
             ("cats/00.ppm", "cats"),
             ("cats/01.ppm", "cats"),
-            ("cats/deep/x.ppm", "deep"),
+            ("cats/deep/x.ppm", "cats"),
         ]
         assert scan_corpus(tmp_path) == expected
+
+    def test_category_is_the_top_level_directory(self, tmp_path, rng):
+        # Same-named leaf directories in different branches stay apart.
+        for rel in ("cars/red/a.ppm", "cars/blue/b.ppm", "vans/red/c.ppm"):
+            write_image(tmp_path / rel, random_rgb(rng, 4, 4))
+        assert scan_corpus(tmp_path) == [
+            ("cars/blue/b.ppm", "cars"),
+            ("cars/red/a.ppm", "cars"),
+            ("vans/red/c.ppm", "vans"),
+        ]
+
+    def test_root_level_image_rejected(self, tmp_path, rng):
+        make_corpus(tmp_path / "c", rng, {"a": 2})
+        write_image(tmp_path / "c" / "root.ppm", random_rgb(rng, 4, 4))
+        with pytest.raises(ValueError, match="root.ppm.*outside any category"):
+            scan_corpus(tmp_path / "c")
 
 
 class TestBuildIndex:
@@ -147,6 +164,35 @@ class TestPersistence:
         path.write_text("{not json")
         with pytest.raises(IndexFormatError, match="malformed"):
             load_index(path)
+
+    def test_failed_write_keeps_the_old_index(self, tmp_path, rng, monkeypatch):
+        make_corpus(tmp_path / "c", rng, {"a": 2})
+        path = tmp_path / "out" / "ix.json"
+        path.parent.mkdir()
+        save_index(build_index(tmp_path / "c"), path)
+        old = path.read_bytes()
+
+        class FailingWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError("disk full")
+
+        monkeypatch.setattr(indexing, "open",
+                            lambda *a, **kw: FailingWriter(open(*a, **kw)), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_index(build_index(tmp_path / "c", phong=PhongParams()), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in path.parent.iterdir()] == ["ix.json"]
 
     def test_invalid_phong_rejected(self, tmp_path, rng):
         make_corpus(tmp_path / "c", rng, {"a": 2})

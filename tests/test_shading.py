@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from shadesearch import shading
 from shadesearch.image import GrayImage, RgbImage, to_grayscale
 from shadesearch.shading import (
     DegenerateInterpolantError,
@@ -18,7 +20,7 @@ from shadesearch.shading import (
     unit,
 )
 
-from conftest import random_rgb
+from conftest import random_rgb, rgb_images
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -41,6 +43,58 @@ def shaded_pixel_oracle(img: RgbImage, p: PhongParams) -> np.ndarray:
                 )
                 out[y, x, c] = min(255, max(0, math.floor(value + 0.5)))
     return out
+
+
+def tiled_loop_cosines(img: RgbImage, p: PhongParams,
+                       tile: int) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped N.L and N.H planes from the per-pixel tile_ndoth loop that
+    shade_image_tiled replaced."""
+    field = height_field_normals(to_grayscale(img), p.height_scale)
+    normals = field.normals
+    h, w = field.height, field.width
+
+    def lattice(extent):
+        marks = list(range(0, extent, tile))
+        if marks[-1] != extent - 1:
+            marks.append(extent - 1)
+        return marks
+
+    def delta(hi, lo, span):
+        return (0.0, 0.0, 0.0) if span == 0 else tuple((hi - lo) / span)
+
+    zero = (0.0, 0.0, 0.0)
+    xs, ys = lattice(w), lattice(h)
+    n_dot_l = np.empty((h, w))
+    n_dot_h = np.empty((h, w))
+    nx_cells = max(1, len(xs) - 1)
+    ny_cells = max(1, len(ys) - 1)
+    for j in range(ny_cells):
+        y0 = ys[j]
+        y1 = ys[j + 1] if len(ys) > 1 else y0
+        y_stop = (y1 + 1) if j == ny_cells - 1 else y1
+        for i in range(nx_cells):
+            x0 = xs[i]
+            x1 = xs[i + 1] if len(xs) > 1 else x0
+            x_stop = (x1 + 1) if i == nx_cells - 1 else x1
+            dx, dy = x1 - x0, y1 - y0
+            n00, n10 = normals[y0, x0], normals[y0, x1]
+            n01, n11 = normals[y1, x0], normals[y1, x1]
+            upper = (delta(n10, n00, dx), delta(n01, n00, dy), tuple(n00))
+            lower = (delta(n11, n01, dx), delta(n11, n10, dy), tuple(n10 + n01 - n11))
+            interps = {
+                on_upper: (TileInterpolant(*coeffs, zero, zero, p.halfway),
+                           TileInterpolant(*coeffs, zero, zero, p.light_dir))
+                for on_upper, coeffs in ((True, upper), (False, lower))
+            }
+            for y in range(y0, y_stop):
+                ly = y - y0
+                for x in range(x0, x_stop):
+                    lx = x - x0
+                    on_upper = dx == 0 or dy == 0 or lx * dy + ly * dx <= dx * dy
+                    t_h, t_l = interps[on_upper]
+                    n_dot_h[y, x] = max(tile_ndoth(t_h, lx, ly), 0.0)
+                    n_dot_l[y, x] = max(tile_ndoth(t_l, lx, ly), 0.0)
+    return n_dot_l, n_dot_h
 
 
 class TestPhongParams:
@@ -251,6 +305,59 @@ class TestShadeImageTiled:
         p = PhongParams()
         out = shade_image_tiled(img, p, 4)
         assert (out.width, out.height) == (1, 10)
+
+    @settings(deadline=None)
+    @given(
+        img=rgb_images(max_side=40),
+        tile=st.integers(2, 48),
+        ns=st.floats(1.0, 40.0),
+        light=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-0.9, 1.0)),
+        height_scale=st.floats(0.01, 1000.0),
+    )
+    @example(img=random_rgb(np.random.default_rng(1), 1, 17), tile=4, ns=2.5,
+             light=(0.3, -0.2, 0.9), height_scale=10.0)
+    @example(img=random_rgb(np.random.default_rng(2), 23, 1), tile=8, ns=7.25,
+             light=(-0.5, 0.1, 0.4), height_scale=100.0)
+    @example(img=random_rgb(np.random.default_rng(3), 21, 19), tile=8, ns=10.5,
+             light=(1.0, 1.0, 1.0), height_scale=0.5)
+    # A ramp lit so that its interior normal is the halfway vector: there the
+    # cosine rounds to just above 1, and only the clamp brings it back.
+    @example(img=RgbImage(np.broadcast_to(np.arange(6, dtype=np.uint8)[None, :, None],
+                                          (6, 6, 3))),
+             tile=4, ns=10.0, light=(-0.007843016639498048, -0.0, 0.999969243072002),
+             height_scale=1.0)
+    def test_equals_per_pixel_loop(self, img, tile, ns, light, height_scale):
+        assume(math.sqrt(sum(c * c for c in light)) > 0.1)
+        assume(unit(light)[2] > -0.99)  # a light facing the view has no halfway vector
+        p = PhongParams(ns=ns, light_dir=unit(light), height_scale=height_scale)
+        expected = tiled_loop_cosines(img, p, tile)
+        compose = shading._compose_shaded
+        seen = []
+
+        def recording_compose(pixels, n_dot_l, n_dot_h, params):
+            seen.append((n_dot_l, n_dot_h))
+            return compose(pixels, n_dot_l, n_dot_h, params)
+
+        oracle_called = AssertionError("shade_image_tiled called tile_ndoth")
+        with mock.patch.object(shading, "tile_ndoth", side_effect=oracle_called), \
+                mock.patch.object(shading, "_compose_shaded", recording_compose):
+            out = shade_image_tiled(img, p, tile)
+        assert out == compose(img.pixels, *expected, p)
+        # The cosines themselves match to the bit, signed zeros included.
+        assert [c.tobytes() for c in seen[0]] == [c.tobytes() for c in expected]
+
+    def test_vanishing_interpolated_normal_is_reported(self):
+        # Opposed corner normals cancel halfway along a tile edge. Height-field
+        # normals always face the viewer, so this needs hand-made corners.
+        def opposed(gray, height_scale, ys, xs):
+            corners = np.zeros((len(ys), len(xs), 3))
+            corners[:, 0::2, 0], corners[:, 1::2, 0] = 1.0, -1.0
+            return corners
+
+        img = RgbImage(np.zeros((3, 3, 3), dtype=np.uint8))
+        with mock.patch.object(shading, "_lattice_normals", opposed):
+            with pytest.raises(DegenerateInterpolantError, match=r"\(1, 0\)"):
+                shade_image_tiled(img, PhongParams(), 2)
 
 
 class TestNormalField:
