@@ -1,16 +1,19 @@
 """Corpus scanning and the persisted feature database.
 
-An index is a single JSON document: format version, the shading parameters
-used (or null), the extraction options, the fitted normalizer, and one entry
-per image holding its corpus-relative path, category (the top-level
-directory of that path), and raw feature values at full float precision.
-Entries are sorted by path so rebuilding an unchanged tree is byte-identical.
+An index is a single JSON document (format version 2): the format version,
+the shading parameters used (or null), the extraction options, the sorted
+corpus-relative image paths, and ``features``, the raw (N, FEATURE_COUNT)
+feature matrix in path order as little-endian float64 bytes, base64-encoded
+into one string. Nothing derivable is stored: an entry's category is the
+first component of its path, and the normalizer is the per-slot extrema of
+the matrix. Rebuilding an unchanged tree is byte-identical. Loading checks
+the whole matrix at once rather than entry by entry.
 """
 
+import base64
 import json
-import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -19,19 +22,28 @@ import numpy as np
 from .features import (
     DEFAULT_EXTRACTION,
     FEATURE_COUNT,
+    FEATURE_NAMES,
     ExtractionOptions,
-    FeatureVector,
     extract_features,
-    validate_feature_ranges,
 )
 from .image import PpmDecodeError, decode_ppm
-from .search import Normalizer, fit_normalizer, normalize_rows
+from .search import Normalizer, normalize_rows
 from .shading import PhongParams
 
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 IMAGE_EXTENSIONS = (".ppm",)
 
 _PHONG_FIELDS = ("ka", "kd", "ks", "ia", "il", "ns", "light_dir", "view_dir", "height_scale")
+_FEATURE_DTYPE = np.dtype("<f8")
+
+# validate_feature_ranges's per-slot bounds as whole-row arrays, eps included;
+# energy and homogeneity have a strict lower bound of 0.
+_EPS = 1e-9
+_LOWER = np.array([-_EPS] * 11 + [0.0, 0.0, -_EPS, -_EPS])
+_UPPER = np.array([255 + _EPS, 255 + _EPS, 127.5 + _EPS] * 3
+                  + [np.inf, np.inf] + [1.0 + _EPS] * 4)
+_STRICT_LOWER = np.isin(np.arange(FEATURE_COUNT),
+                        [FEATURE_NAMES.index("energy"), FEATURE_NAMES.index("homogeneity")])
 
 
 class EmptyCorpusError(ValueError):
@@ -56,6 +68,16 @@ class Index:
     opts: ExtractionOptions
     normalizer: Normalizer
     entries: tuple[IndexEntry, ...]
+    # The raw feature matrix that build_index and load_index already hold;
+    # rebuilt from entries when an Index is made by hand.
+    _raw: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def _features(self) -> np.ndarray:
+        """Raw (N, FEATURE_COUNT) float64 feature matrix in entry order."""
+        if self._raw is not None:
+            return self._raw
+        raw = np.array([e.features for e in self.entries], dtype=np.float64)
+        return raw.reshape(len(self.entries), FEATURE_COUNT)
 
     @cached_property
     def normalized(self) -> np.ndarray:
@@ -64,12 +86,20 @@ class Index:
         Built on first use and kept for the life of the index; row i is
         ``normalize(entries[i].features, normalizer)`` to the bit.
         """
-        raw = np.array([e.features for e in self.entries], dtype=np.float64)
-        matrix = np.ascontiguousarray(
-            normalize_rows(raw.reshape(len(self.entries), FEATURE_COUNT), self.normalizer)
-        )
+        matrix = np.ascontiguousarray(normalize_rows(self._features(), self.normalizer))
         matrix.flags.writeable = False
         return matrix
+
+
+def _category(path: str) -> str | None:
+    """The first component of a corpus-relative path, or None for a root-level one."""
+    head, sep, _ = path.partition("/")
+    return head if sep and head else None
+
+
+def _fit(raw: np.ndarray) -> Normalizer:
+    """The normalizer ``fit_normalizer`` fits, taken over the whole matrix at once."""
+    return Normalizer(mins=tuple(raw.min(axis=0)), maxs=tuple(raw.max(axis=0)))
 
 
 def scan_corpus(root) -> list[tuple[str, str]]:
@@ -111,43 +141,49 @@ def build_index(root, phong: PhongParams | None = None,
             raise PpmDecodeError(f"{rel}: {exc}") from exc
         fv = extract_features(img, phong=phong, opts=opts)
         entries.append(IndexEntry(path=rel, category=category, features=fv.values))
-    normalizer = fit_normalizer([e.features for e in entries])
+    raw = np.array([e.features for e in entries], dtype=np.float64)
+    raw.flags.writeable = False
     return Index(
         version=INDEX_FORMAT_VERSION,
         phong=phong,
         opts=opts,
-        normalizer=normalizer,
+        normalizer=_fit(raw),
         entries=tuple(entries),
+        _raw=raw,
     )
 
 
 def _index_to_doc(ix: Index) -> dict:
+    for e in ix.entries:
+        if _category(e.path) != e.category:
+            raise ValueError(f"{e.path}: category {e.category!r} is not the first "
+                             "component of the path")
     phong = None
     if ix.phong is not None:
         phong = {}
         for name in _PHONG_FIELDS:
             value = getattr(ix.phong, name)
             phong[name] = list(value) if isinstance(value, tuple) else value
+    block = np.ascontiguousarray(ix._features(), dtype=_FEATURE_DTYPE).tobytes()
     return {
-        "version": ix.version,
+        "version": INDEX_FORMAT_VERSION,
         "phong": phong,
         "extraction_opts": {
             "levels": ix.opts.levels,
             "offset": list(ix.opts.offset),
             "edge_threshold": ix.opts.edge_threshold,
         },
-        "normalizer": {"mins": list(ix.normalizer.mins), "maxs": list(ix.normalizer.maxs)},
-        "entries": [
-            {"path": e.path, "category": e.category, "features": list(e.features)}
-            for e in ix.entries
-        ],
+        "paths": [e.path for e in ix.entries],
+        "features": base64.b64encode(block).decode("ascii"),
     }
 
 
 def save_index(ix: Index, path) -> None:
-    """Persist as deterministic JSON; floats keep full round-trip precision.
+    """Persist as one deterministic JSON document; features keep every bit.
 
-    The document is written to a temporary file in the same directory, which
+    Raises ValueError for an entry whose category is not the first component
+    of its path, since a load derives the category from the path. The
+    document is written to a temporary file in the same directory, which
     then replaces ``path``, so a write that fails part-way leaves any index
     already at ``path`` as it was.
     """
@@ -189,77 +225,99 @@ def _load_phong(doc) -> PhongParams | None:
         raise IndexFormatError(f"invalid phong parameters: {exc}") from exc
 
 
-def load_index(path) -> Index:
-    """Load and validate a persisted index.
-
-    Rejects unknown versions, schema violations, unsorted or duplicated
-    paths, malformed feature values, and a normalizer that does not match
-    the recomputed extrema of the stored entries.
-    """
+def _load_opts(doc) -> ExtractionOptions:
+    offset = _require(doc, "offset", list, "extraction_opts")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+        return ExtractionOptions(
+            levels=_require(doc, "levels", int, "extraction_opts"),
+            offset=tuple(offset),
+            edge_threshold=_require(doc, "edge_threshold", float, "extraction_opts"),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise IndexFormatError(f"invalid extraction options: {exc}") from exc
+
+
+def _load_paths(doc) -> tuple[list[str], list[str]]:
+    """The stored paths, checked, and the category of each."""
+    paths = _require(doc, "paths", list, "index")
+    if not paths:
+        raise IndexFormatError("index contains no entries")
+    if not all(isinstance(p, str) for p in paths):
+        raise IndexFormatError("index.paths must hold only strings")
+    categories = [_category(p) for p in paths]
+    if None in categories:
+        rel = paths[categories.index(None)]
+        raise IndexFormatError(f"path {rel!r} names no category directory")
+    for prev, rel in zip(paths, paths[1:]):
+        if not prev < rel:
+            problem = "duplicate paths" if prev == rel else "paths that are not sorted"
+            raise IndexFormatError(f"index contains {problem}: {prev!r}, {rel!r}")
+    return paths, categories
+
+
+def _load_features(doc, paths: list[str]) -> np.ndarray:
+    """The stored (N, FEATURE_COUNT) feature matrix, read-only, checked as a whole."""
+    block = _require(doc, "features", str, "index")
+    try:
+        data = base64.b64decode(block, validate=True)
+    except ValueError as exc:
+        raise IndexFormatError(f"features block is not valid base64: {exc}") from exc
+    expected = _FEATURE_DTYPE.itemsize * FEATURE_COUNT * len(paths)
+    if len(data) != expected:
+        raise IndexFormatError(
+            f"features block holds {len(data)} bytes, expected {expected} bytes: "
+            f"{FEATURE_COUNT} float64 feature values for each of the {len(paths)} paths"
+        )
+    raw = np.frombuffer(data, dtype=_FEATURE_DTYPE).reshape(len(paths), FEATURE_COUNT)
+    ok = (np.isfinite(raw) & np.where(_STRICT_LOWER, raw > _LOWER, raw >= _LOWER)
+          & (raw <= _UPPER))
+    if not ok.all():
+        row, slot = divmod(int(np.flatnonzero(~ok)[0]), FEATURE_COUNT)
+        value = float(raw[row, slot])
+        problem = "is out of range" if np.isfinite(value) else "is not finite"
+        raise IndexFormatError(f"{paths[row]}: feature {FEATURE_NAMES[slot]} = {value!r} "
+                               f"{problem}")
+    return raw
+
+
+def _load_doc(path) -> Index:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # undecodable, malformed or too deep
         raise IndexFormatError(f"malformed index document: {exc}") from exc
     version = _require(doc, "version", int, "index")
+    if version == 1:
+        raise IndexFormatError("index format version 1 is no longer read; "
+                               "rebuild the index with `shadesearch index`")
     if version != INDEX_FORMAT_VERSION:
         raise IndexFormatError(
             f"unsupported index version {version}, expected {INDEX_FORMAT_VERSION}"
         )
-    phong = _load_phong(doc.get("phong"))
-    opts_doc = _require(doc, "extraction_opts", dict, "index")
-    offset = _require(opts_doc, "offset", list, "extraction_opts")
+    if "phong" not in doc:
+        raise IndexFormatError("index is missing field 'phong'")
+    phong = _load_phong(doc["phong"])
+    opts = _load_opts(_require(doc, "extraction_opts", dict, "index"))
+    paths, categories = _load_paths(doc)
+    raw = _load_features(doc, paths)
+    entries = tuple(IndexEntry(path=rel, category=category, features=tuple(row))
+                    for rel, category, row in zip(paths, categories, raw.tolist()))
+    return Index(version=version, phong=phong, opts=opts, normalizer=_fit(raw),
+                 entries=entries, _raw=raw)
+
+
+def load_index(path) -> Index:
+    """Load and validate a persisted index.
+
+    Raises IndexFormatError, its message starting with ``path``, for a file
+    that is not UTF-8 JSON, an unknown or retired version, a schema
+    violation, paths that are unsorted, duplicated or outside any category,
+    and a feature block of the wrong length or with a value that is
+    non-finite or out of its slot's range. OSError from reading the file
+    passes through.
+    """
     try:
-        opts = ExtractionOptions(
-            levels=_require(opts_doc, "levels", int, "extraction_opts"),
-            offset=tuple(offset),
-            edge_threshold=_require(opts_doc, "edge_threshold", float, "extraction_opts"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise IndexFormatError(f"invalid extraction options: {exc}") from exc
-
-    entries = []
-    entry_docs = _require(doc, "entries", list, "index")
-    for pos, entry_doc in enumerate(entry_docs):
-        where = f"entries[{pos}]"
-        rel = _require(entry_doc, "path", str, where)
-        category = _require(entry_doc, "category", str, where)
-        features = _require(entry_doc, "features", list, where)
-        if len(features) != FEATURE_COUNT:
-            raise IndexFormatError(
-                f"{where} has {len(features)} feature values, expected {FEATURE_COUNT}"
-            )
-        try:
-            values = FeatureVector(tuple(features)).values
-            validate_feature_ranges(values)
-        except (TypeError, ValueError) as exc:
-            raise IndexFormatError(f"{where}: {exc}") from exc
-        entries.append(IndexEntry(path=rel, category=category, features=values))
-
-    if not entries:
-        raise IndexFormatError("index contains no entries")
-    paths = [e.path for e in entries]
-    if paths != sorted(paths):
-        raise IndexFormatError("entries are not sorted by path")
-    if len(set(paths)) != len(paths):
-        raise IndexFormatError("entries contain duplicate paths")
-
-    norm_doc = _require(doc, "normalizer", dict, "index")
-    try:
-        normalizer = Normalizer(
-            mins=tuple(_require(norm_doc, "mins", list, "normalizer")),
-            maxs=tuple(_require(norm_doc, "maxs", list, "normalizer")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise IndexFormatError(f"invalid normalizer: {exc}") from exc
-    if len(normalizer.mins) != FEATURE_COUNT:
-        raise IndexFormatError("normalizer dimension does not match the feature count")
-    refit = fit_normalizer([e.features for e in entries])
-    if refit != normalizer:
-        raise IndexFormatError("normalizer does not match the extrema of the stored entries")
-
-    if any(not math.isfinite(v) for v in normalizer.mins + normalizer.maxs):
-        raise IndexFormatError("normalizer contains non-finite values")
-    return Index(
-        version=version, phong=phong, opts=opts, normalizer=normalizer, entries=tuple(entries)
-    )
+        return _load_doc(path)
+    except IndexFormatError as exc:
+        raise IndexFormatError(f"{path}: {exc}") from exc.__cause__

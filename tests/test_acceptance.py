@@ -218,6 +218,7 @@ def test_criterion_7_persistence(pipeline, tmp_path):
     loaded = load_index(path)
     assert loaded == index  # exact, including full-precision floats
 
+    import base64
     import json
 
     doc = json.loads(path.read_text())
@@ -228,7 +229,8 @@ def test_criterion_7_persistence(pipeline, tmp_path):
         load_index(bad_version)
 
     clipped = json.loads(path.read_text())
-    clipped["entries"][0]["features"] = clipped["entries"][0]["features"][:14]
+    block = base64.b64decode(clipped["features"])
+    clipped["features"] = base64.b64encode(block[:-8]).decode("ascii")  # one value short
     bad_schema = tmp_path / "bad_schema.json"
     bad_schema.write_text(json.dumps(clipped))
     with pytest.raises(IndexFormatError, match="feature"):

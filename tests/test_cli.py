@@ -1,3 +1,4 @@
+import base64
 import csv
 import io
 import json
@@ -10,9 +11,14 @@ import pytest
 
 import shadesearch
 from shadesearch.cli import main
+from shadesearch.features import FEATURE_COUNT
 from shadesearch.image import decode_ppm, encode_ppm
 
 from conftest import random_rgb
+
+
+def _subprocess_env() -> dict:
+    return dict(os.environ, PYTHONPATH=str(Path(shadesearch.__file__).resolve().parents[1]))
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +37,8 @@ def workspace(tmp_path_factory):
 class TestIndexCommand:
     def test_entry_count_matches_corpus(self, workspace):
         doc = json.loads(workspace["shaded"].read_text())
-        assert len(doc["entries"]) == 70
+        assert len(doc["paths"]) == 70
+        assert len(base64.b64decode(doc["features"])) == 70 * FEATURE_COUNT * 8
         assert doc["phong"] is not None
 
     def test_omitted_phong_flag_records_null(self, workspace):
@@ -51,11 +58,10 @@ class TestIndexCommand:
         (corpus / "a").mkdir(parents=True)
         for rel in ("a/00.ppm", "root.ppm"):
             (corpus / rel).write_bytes(encode_ppm(random_rgb(rng, 4, 4)))
-        env = dict(os.environ, PYTHONPATH=str(Path(shadesearch.__file__).resolve().parents[1]))
         done = subprocess.run(
             [sys.executable, "-m", "shadesearch", "index", str(corpus),
              "--out", str(tmp_path / "ix.json")],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=_subprocess_env(),
         )
         assert done.returncode == 1
         assert done.stderr == (f"error: {corpus / 'root.ppm'}: image lies directly under "
@@ -89,6 +95,18 @@ class TestQueryCommand:
         assert len(rows) == 12
         distances = [float(r["distance"]) for r in rows]
         assert distances == sorted(distances)
+
+    def test_deeply_nested_index_fails_with_one_line(self, tmp_path):
+        index = tmp_path / "deep.json"
+        index.write_text("[" * 200_000 + "]" * 200_000)
+        done = subprocess.run(
+            [sys.executable, "-m", "shadesearch", "query", str(index), str(tmp_path / "q.ppm")],
+            capture_output=True, text=True, env=_subprocess_env(),
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith(f"error: {index}: malformed index document")
+        assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr
+        assert done.stdout == ""
 
     def test_missing_index_file_fails(self, workspace, capsys):
         image = workspace["corpus"] / "hue" / "00.ppm"

@@ -1,18 +1,31 @@
+import base64
 import json
+import math
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from shadesearch import indexing
-from shadesearch.features import ExtractionOptions
+from shadesearch.features import (
+    FEATURE_COUNT,
+    FEATURE_NAMES,
+    ExtractionOptions,
+    validate_feature_ranges,
+)
 from shadesearch.image import PpmDecodeError, RgbImage, encode_ppm
 from shadesearch.indexing import (
     EmptyCorpusError,
+    Index,
+    IndexEntry,
     IndexFormatError,
     build_index,
     load_index,
     save_index,
     scan_corpus,
 )
+from shadesearch.search import fit_normalizer
 from shadesearch.shading import PhongParams
 
 from conftest import random_rgb
@@ -27,6 +40,24 @@ def make_corpus(root, rng, layout: dict[str, int], side: int = 8) -> None:
     for category, count in layout.items():
         for i in range(count):
             write_image(root / category / f"{i:02d}.ppm", random_rgb(rng, side, side))
+
+
+def decode_block(doc: dict) -> np.ndarray:
+    """A document's feature block as a flat, writable array of values."""
+    return np.frombuffer(base64.b64decode(doc["features"]), dtype="<f8").copy()
+
+
+def encode_block(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def hand_made_index(rows, phong: PhongParams | None = None) -> Index:
+    entries = tuple(IndexEntry(path=f"c{i % 3}/{i:03d}.ppm", category=f"c{i % 3}",
+                               features=tuple(map(float, row)))
+                    for i, row in enumerate(rows))
+    entries = tuple(sorted(entries, key=lambda e: e.path))
+    return Index(version=indexing.INDEX_FORMAT_VERSION, phong=phong, opts=ExtractionOptions(),
+                 normalizer=fit_normalizer([e.features for e in entries]), entries=entries)
 
 
 class TestScanCorpus:
@@ -126,8 +157,9 @@ class TestPersistence:
     def _expect_load_error(self, tmp_path, doc, match):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(IndexFormatError, match=match):
+        with pytest.raises(IndexFormatError, match=re.escape(match)) as info:
             load_index(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_unknown_version_rejected(self, tmp_path, rng):
         doc = self._saved_doc(tmp_path, rng)
@@ -136,28 +168,56 @@ class TestPersistence:
 
     def test_wrong_feature_count_rejected(self, tmp_path, rng):
         doc = self._saved_doc(tmp_path, rng)
-        doc["entries"][0]["features"] = doc["entries"][0]["features"][:14]
-        self._expect_load_error(tmp_path, doc, "14 feature values")
+        doc["features"] = encode_block(decode_block(doc)[:-1])  # one value short
+        self._expect_load_error(tmp_path, doc, f"holds {(2 * FEATURE_COUNT - 1) * 8} bytes")
 
-    def test_stale_normalizer_rejected(self, tmp_path, rng):
+    def test_block_not_matching_paths_rejected(self, tmp_path, rng):
         doc = self._saved_doc(tmp_path, rng)
-        doc["normalizer"]["maxs"][0] += 1.0
-        self._expect_load_error(tmp_path, doc, "normalizer")
+        doc["paths"].pop()  # the block still holds two rows
+        self._expect_load_error(tmp_path, doc, f"expected {FEATURE_COUNT * 8} bytes")
 
     def test_unsorted_entries_rejected(self, tmp_path, rng):
         doc = self._saved_doc(tmp_path, rng)
-        doc["entries"].reverse()
-        self._expect_load_error(tmp_path, doc, "sorted")
+        doc["paths"].reverse()
+        self._expect_load_error(tmp_path, doc, "not sorted")
 
     def test_duplicate_paths_rejected(self, tmp_path, rng):
         doc = self._saved_doc(tmp_path, rng)
-        doc["entries"].append(doc["entries"][-1])
+        values = decode_block(doc)
+        doc["paths"].append(doc["paths"][-1])
+        doc["features"] = encode_block(np.concatenate([values, values[-FEATURE_COUNT:]]))
         self._expect_load_error(tmp_path, doc, "duplicate")
 
     def test_out_of_range_feature_rejected(self, tmp_path, rng):
         doc = self._saved_doc(tmp_path, rng)
-        doc["entries"][0]["features"][0] = 400.0  # r_mean beyond 255
-        self._expect_load_error(tmp_path, doc, "entries\\[0\\]")
+        values = decode_block(doc)
+        values[FEATURE_COUNT] = 400.0  # r_mean beyond 255, in the second row
+        doc["features"] = encode_block(values)
+        self._expect_load_error(tmp_path, doc, "a/01.ppm: feature r_mean = 400.0 is out of range")
+
+    def test_root_level_path_rejected(self, tmp_path, rng):
+        doc = self._saved_doc(tmp_path, rng)
+        doc["paths"][0] = "00.ppm"
+        self._expect_load_error(tmp_path, doc, "'00.ppm' names no category")
+
+    def test_version_1_asks_for_a_rebuild(self, tmp_path, rng):
+        doc = self._saved_doc(tmp_path, rng)
+        doc["version"] = 1
+        self._expect_load_error(tmp_path, doc, "version 1 is no longer read; rebuild the index")
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"version": 2, "paths": ["caf\u00e9/a.ppm"]}'.encode("latin-1"))
+        with pytest.raises(IndexFormatError, match="malformed") as info:
+            load_index(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_deep_nesting_rejected(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        with pytest.raises(IndexFormatError, match="malformed") as info:
+            load_index(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "garbage.json"
@@ -200,3 +260,203 @@ class TestPersistence:
         doc = json.loads((tmp_path / "ix.json").read_text())
         doc["phong"]["ns"] = 0.0
         self._expect_load_error(tmp_path, doc, "phong")
+
+
+_EPS = 1e-9
+_VALID_ROW = (100.0, 100.0, 50.0) * 3 + (1.0, 1.0, 0.5, 0.5, 0.5, 0.5)
+# Every bound of validate_feature_ranges, just inside and just beyond it.
+_EDGE_VALUES = (
+    -_EPS, math.nextafter(-_EPS, -math.inf), 0.0, -0.0, 5e-324, -5e-324,
+    1.0, 1.0 + _EPS, math.nextafter(1.0 + _EPS, math.inf),
+    127.5, 127.5 + _EPS, math.nextafter(127.5 + _EPS, math.inf),
+    255.0, 255.0 + _EPS, math.nextafter(255.0 + _EPS, math.inf),
+    1e300, math.inf, -math.inf, math.nan,
+)
+
+
+@st.composite
+def edge_rows(draw) -> list[float]:
+    """A valid row with up to three slots moved onto or past a bound, or anywhere."""
+    row = list(_VALID_ROW)
+    for slot in draw(st.lists(st.integers(0, FEATURE_COUNT - 1), max_size=3)):
+        row[slot] = draw(st.sampled_from(_EDGE_VALUES) | st.floats())
+    return row
+
+
+def _in_range(lo, hi, **kw):
+    """Floats in [lo, hi], with both signed zeros (or hi, where 0 is excluded) drawn often."""
+    return st.floats(lo, hi, **kw) | st.sampled_from([0.0, -0.0] if lo < 0 else [hi])
+
+
+# One strategy per slot that only draws values validate_feature_ranges accepts.
+valid_rows = st.tuples(
+    *[_in_range(-_EPS, 255 + _EPS), _in_range(-_EPS, 255 + _EPS), _in_range(-_EPS, 127.5 + _EPS)]
+    * 3,
+    _in_range(-_EPS, 1e300), _in_range(-_EPS, 1e300),
+    _in_range(0.0, 1 + _EPS, exclude_min=True), _in_range(0.0, 1 + _EPS, exclude_min=True),
+    _in_range(-_EPS, 1 + _EPS), _in_range(-_EPS, 1 + _EPS),
+)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("index-properties")
+
+
+class TestSaveChecks:
+    @pytest.mark.parametrize("path, category", [("a/x.ppm", "b"), ("x.ppm", "x.ppm")])
+    def test_category_must_be_first_path_component(self, tmp_path, path, category):
+        ix = hand_made_index([_VALID_ROW])
+        bad = Index(version=ix.version, phong=None, opts=ix.opts, normalizer=ix.normalizer,
+                    entries=(IndexEntry(path, category, _VALID_ROW),))
+        with pytest.raises(ValueError, match="not the first component"):
+            save_index(bad, tmp_path / "ix.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_loaded_index_keeps_its_raw_matrix(self, tmp_path, rng):
+        make_corpus(tmp_path / "c", rng, {"a": 2, "b": 1})
+        built = build_index(tmp_path / "c")
+        save_index(built, tmp_path / "ix.json")
+        loaded = load_index(tmp_path / "ix.json")
+        for ix in (built, loaded):
+            assert not ix._raw.flags.writeable
+            assert ix._raw.tolist() == [list(e.features) for e in ix.entries]
+
+
+def _check_against_scalar_oracle(rows):
+    """The whole-matrix check fails on the first row validate_feature_ranges rejects."""
+    paths = [f"c/{i}.ppm" for i in range(len(rows))]
+    rejected = []
+    for path, row in zip(paths, rows):
+        try:
+            validate_feature_ranges(row)
+        except ValueError:
+            rejected.append(path)
+    doc = {"features": encode_block(rows)}
+    if not rejected:
+        raw = indexing._load_features(doc, paths)
+        assert raw.tobytes() == np.asarray(rows, dtype="<f8").tobytes()
+        return
+    with pytest.raises(IndexFormatError) as info:
+        indexing._load_features(doc, paths)
+    named = re.fullmatch(r"(\S+): feature (\w+) = .+", str(info.value))
+    assert named and named[1] == rejected[0]
+    # The named slot is out of range on its own.
+    slot = FEATURE_NAMES.index(named[2])
+    alone = list(_VALID_ROW)
+    alone[slot] = rows[paths.index(rejected[0])][slot]
+    with pytest.raises(ValueError):
+        validate_feature_ranges(alone)
+
+
+class TestVectorizedRangeCheck:
+    @pytest.mark.parametrize("slot", range(FEATURE_COUNT), ids=FEATURE_NAMES)
+    def test_every_edge_value_in_every_slot(self, slot):
+        for value in _EDGE_VALUES:
+            row = list(_VALID_ROW)
+            row[slot] = value
+            _check_against_scalar_oracle([row])
+
+    @given(st.lists(edge_rows(), min_size=1, max_size=6))
+    def test_rejects_exactly_the_rows_the_scalar_oracle_rejects(self, rows):
+        _check_against_scalar_oracle(rows)
+
+
+class TestRoundTripProperty:
+    @given(rows=st.lists(valid_rows, min_size=1, max_size=8),
+           phong=st.sampled_from([None, PhongParams()]))
+    def test_load_of_save_is_the_index_to_the_bit(self, scratch, rows, phong):
+        ix = hand_made_index(rows, phong)
+        path = scratch / "round-trip.json"
+        save_index(ix, path)
+        loaded = load_index(path)
+        assert loaded == ix
+        for got, want in ((loaded._features(), ix._features()),
+                          (loaded.normalized, ix.normalized),
+                          (loaded.normalizer.mins + loaded.normalizer.maxs,
+                           ix.normalizer.mins + ix.normalizer.maxs)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+_BASE_ROWS = [_VALID_ROW, (0.0,) * 11 + (1.0, 1.0, 0.0, 0.0), (255.0, 255.0, 127.5) * 3
+              + (7.5, 300.0, 1e-3, 0.25, 1.0, 1.0), _VALID_ROW[::-1][:11] + (0.5,) * 4]
+_FIELDS = ("version", "phong", "extraction_opts", "paths", "features")
+_WRONG_TYPES = (None, True, "x", {}, [None])
+_POISON = (math.nan, math.inf, -math.inf, -1.0, -1e-8)
+
+
+@st.composite
+def broken_documents(draw) -> bytes:
+    """A saved v2 index with one mutation that must make it unloadable."""
+    doc = json.loads(json.dumps(indexing._index_to_doc(
+        hand_made_index(_BASE_ROWS, PhongParams()))))
+    paths = doc["paths"]
+    kind = draw(st.sampled_from(
+        ["drop", "retype", "retype_nested", "truncate_block", "garble_block", "poison",
+         "unsort", "duplicate", "root_level", "version_1", "truncate_file", "non_utf8"]))
+    if kind == "drop":
+        del doc[draw(st.sampled_from(_FIELDS))]
+    elif kind == "retype":
+        key = draw(st.sampled_from(_FIELDS))
+        doc[key] = draw(st.sampled_from([v for v in _WRONG_TYPES + (0, [], "")
+                                         if v is not None or key != "phong"]))
+    elif kind == "retype_nested":
+        key = draw(st.sampled_from(["phong", "extraction_opts", "paths"]))
+        inner = doc[key]
+        slot = draw(st.sampled_from(range(len(inner)) if key == "paths" else sorted(inner)))
+        inner[slot] = draw(st.sampled_from(_WRONG_TYPES))
+    elif kind == "truncate_block":
+        doc["features"] = doc["features"][:draw(st.integers(0, len(doc["features"]) - 1))]
+    elif kind == "garble_block":  # replace or insert one character outside the alphabet
+        block = doc["features"]
+        at = draw(st.integers(0, len(block) - 1))
+        rest = block[at + draw(st.integers(0, 1)):]
+        doc["features"] = block[:at] + draw(st.sampled_from("!*-_ .é\n")) + rest
+    elif kind == "poison":
+        values = decode_block(doc)
+        values[draw(st.integers(0, values.size - 1))] = draw(st.sampled_from(_POISON))
+        doc["features"] = encode_block(values)
+    elif kind == "unsort":
+        i, j = sorted(draw(st.lists(st.integers(0, len(paths) - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        paths[i], paths[j] = paths[j], paths[i]
+    elif kind == "duplicate":
+        at = draw(st.integers(1, len(paths) - 1))
+        paths[at] = paths[at - 1]
+    elif kind == "root_level":
+        paths[draw(st.integers(0, len(paths) - 1))] = draw(st.sampled_from(["x.ppm", "/x", ""]))
+    elif kind == "version_1":
+        doc["version"] = 1
+    data = json.dumps(doc, indent=2).encode()
+    if kind == "truncate_file":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    elif kind == "non_utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(_FIELDS) | st.text(max_size=4), inner, max_size=5),
+    max_leaves=12,
+)
+
+
+class TestLoadFuzz:
+    @given(data=broken_documents())
+    def test_every_mutation_raises_index_format_error(self, scratch, data):
+        path = scratch / "mutated.json"
+        path.write_bytes(data)
+        with pytest.raises(IndexFormatError) as info:
+            load_index(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @given(doc=json_values)
+    def test_arbitrary_json_raises_only_index_format_error(self, scratch, doc):
+        path = scratch / "arbitrary.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IndexFormatError) as info:
+            load_index(path)
+        assert str(info.value).startswith(f"{path}: ")
