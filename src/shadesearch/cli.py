@@ -79,7 +79,10 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     index = load_index(args.index)
-    query = extract_features(read_ppm(args.image), phong=index.phong, opts=index.opts)
+    try:
+        query = extract_features(read_ppm(args.image), phong=index.phong, opts=index.opts)
+    except ValueError as exc:  # name the image, as build_index does; keep the class
+        raise type(exc)(f"{args.image}: {exc}") from exc
     results = rank(query, index, k=args.top)
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")

@@ -26,10 +26,6 @@ FEATURE_COUNT = len(FEATURE_NAMES)
 
 _CHANNEL_INDEX = {"r": 0, "g": 1, "b": 2}
 
-# 3x3 Sobel kernel pair; Gx responds to vertical edges, Gy to horizontal.
-SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.int64)
-SOBEL_Y = np.array([[1, 2, 1], [0, 0, 0], [-1, -2, -1]], dtype=np.int64)
-
 
 class EmptyPairsError(ValueError):
     """The co-occurrence offset produced no valid pixel pairs."""
@@ -194,24 +190,26 @@ def texture_features(g: Glcm) -> tuple[float, float, float, float]:
 
 
 def sobel_gradients(gray: GrayImage) -> GradientField:
-    """Correlate the Sobel kernel pair with the image (edge replication)."""
-    h, w = gray.pixels.shape
+    """Correlate the Sobel kernel pair with the image (edge replication).
+
+    Gx responds to vertical edges and Gy to horizontal ones:
+
+        Gx = [[-1, 0, 1],      Gy = [[ 1,  2,  1],
+              [-2, 0, 2],            [ 0,  0,  0],
+              [-1, 0, 1]]            [-1, -2, -1]]
+
+    Each kernel is applied in its separable form: Gx smooths columns by
+    [1, 2, 1] and then takes right minus left, Gy smooths rows by [1, 2, 1]
+    and then takes top minus bottom. The arithmetic is int64, so it is exact.
+    """
     padded = np.pad(gray.pixels.astype(np.int64), 1, mode="edge")
-
-    def window(dy: int, dx: int) -> np.ndarray:
-        return padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
-
-    gx = np.zeros((h, w), dtype=np.int64)
-    gy = np.zeros((h, w), dtype=np.int64)
-    for ky in (-1, 0, 1):
-        for kx in (-1, 0, 1):
-            wx = SOBEL_X[ky + 1, kx + 1]
-            wy = SOBEL_Y[ky + 1, kx + 1]
-            if wx:
-                gx += wx * window(ky, kx)
-            if wy:
-                gy += wy * window(ky, kx)
-    return GradientField(gx=gx, gy=gy)
+    cols = padded[:-2] + padded[2:]
+    cols += padded[1:-1]
+    cols += padded[1:-1]  # [1, 2, 1] down each column, (h, w + 2)
+    rows = padded[:, :-2] + padded[:, 2:]
+    rows += padded[:, 1:-1]
+    rows += padded[:, 1:-1]  # [1, 2, 1] along each row, (h + 2, w)
+    return GradientField(gx=cols[:, 2:] - cols[:, :-2], gy=rows[:-2] - rows[2:])
 
 
 def edge_densities(g: GradientField, threshold: float) -> tuple[float, float]:

@@ -160,11 +160,18 @@ def encode_ppm(img: RgbImage) -> bytes:
 
 def to_grayscale(img: RgbImage) -> GrayImage:
     """BT.601 luma, rounded half away from zero."""
-    rgb = img.pixels.astype(np.float64)
+    # Each uint8 channel converts to float64 exactly inside its multiply, and
+    # the products are summed left to right. Every term is non-negative and
+    # the weights sum to 1, so luma + 0.5 < 256 and the floor fits uint8.
+    px = img.pixels
     wr, wg, wb = LUMA_WEIGHTS
-    luma = rgb[..., 0] * wr + rgb[..., 1] * wg + rgb[..., 2] * wb
-    gray = np.clip(np.floor(luma + 0.5), 0.0, 255.0)
-    return GrayImage(gray.astype(np.uint8))
+    luma = np.multiply(px[..., 0], wr, dtype=np.float64)
+    luma += np.multiply(px[..., 1], wg, dtype=np.float64)
+    luma += np.multiply(px[..., 2], wb, dtype=np.float64)
+    luma += 0.5
+    gray = np.floor(luma, out=luma).astype(np.uint8)
+    gray.flags.writeable = False  # nothing else holds it, so GrayImage need not copy
+    return GrayImage(gray)
 
 
 def read_ppm(path) -> RgbImage:

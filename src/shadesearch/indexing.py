@@ -26,7 +26,7 @@ from .features import (
     ExtractionOptions,
     extract_features,
 )
-from .image import PpmDecodeError, decode_ppm
+from .image import decode_ppm
 from .search import Normalizer, normalize_rows
 from .shading import PhongParams
 
@@ -129,17 +129,17 @@ def build_index(root, phong: PhongParams | None = None,
                 opts: ExtractionOptions = DEFAULT_EXTRACTION) -> Index:
     """Extract features for every image under root and fit the normalizer.
 
-    Fails fast on the first undecodable file, naming it, so evaluation
-    denominators are never silently wrong.
+    Fails fast on the first file that cannot be decoded or described: the
+    ValueError keeps its class and its message starts with the file's path,
+    so evaluation denominators are never silently wrong.
     """
     root = Path(root)
     entries = []
     for rel, category in scan_corpus(root):
         try:
-            img = decode_ppm((root / rel).read_bytes())
-        except PpmDecodeError as exc:
-            raise PpmDecodeError(f"{rel}: {exc}") from exc
-        fv = extract_features(img, phong=phong, opts=opts)
+            fv = extract_features(decode_ppm((root / rel).read_bytes()), phong=phong, opts=opts)
+        except ValueError as exc:
+            raise type(exc)(f"{rel}: {exc}") from exc
         entries.append(IndexEntry(path=rel, category=category, features=fv.values))
     raw = np.array([e.features for e in entries], dtype=np.float64)
     raw.flags.writeable = False

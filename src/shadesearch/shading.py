@@ -2,7 +2,10 @@
 
 A grayscale copy of the input is treated as a surface z = height_scale *
 gray / 255; per-pixel unit normals come from central differences of that
-surface (edge rows and columns are replicated). Each pixel is then lit as
+surface (edge rows and columns are replicated). The normals are built plane
+by plane: one length sqrt(dz/dx^2 + dz/dy^2 + 1) per pixel, and the three
+components (-dz/dx, -dz/dy, 1) divided by it straight into one
+(height, width, 3) array. Each pixel is then lit as
 
     I = ka*ia + kd*il*max(N.L, 0) + ks*il*max(N.H, 0)**ns
 
@@ -126,17 +129,30 @@ class NormalField:
 
 
 def _normalized(dhdx: np.ndarray, dhdy: np.ndarray) -> np.ndarray:
-    n = np.stack((-dhdx, -dhdy, np.ones_like(dhdx)), axis=2)
-    n /= np.linalg.norm(n, axis=2, keepdims=True)
+    # (-dhdx, -dhdy, 1) / nn with nn = sqrt(dhdx*dhdx + dhdy*dhdy + 1), summed
+    # left to right as a norm of the stacked vector sums it. Each plane is
+    # divided straight into one (..., 3) array and the whole array negated
+    # once: rounding is sign-symmetric, so -(a / nn) == (-a) / nn bit for bit.
+    nn = dhdx * dhdx
+    nn += dhdy * dhdy
+    nn += 1.0
+    np.sqrt(nn, out=nn)
+    n = np.empty(dhdx.shape + (3,))
+    np.divide(dhdx, nn, out=n[..., 0])
+    np.divide(dhdy, nn, out=n[..., 1])
+    np.divide(-1.0, nn, out=n[..., 2])
+    np.negative(n, out=n)
     return n
 
 
 def _unit_normals(gray: GrayImage, height_scale: float) -> np.ndarray:
     # height_field_normals without NormalField's re-check of every length.
-    h = gray.pixels.astype(np.float64) * (height_scale / 255.0)
+    h = np.multiply(gray.pixels, height_scale / 255.0, dtype=np.float64)
     padded = np.pad(h, 1, mode="edge")
-    dhdx = (padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0
-    dhdy = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
+    dhdx = padded[1:-1, 2:] - padded[1:-1, :-2]
+    dhdx /= 2.0
+    dhdy = padded[2:, 1:-1] - padded[:-2, 1:-1]
+    dhdy /= 2.0
     return _normalized(dhdx, dhdy)
 
 
@@ -185,7 +201,9 @@ def _compose_shaded(pixels: np.ndarray, n_dot_l: np.ndarray, n_dot_h: np.ndarray
     shaded += 0.5
     np.floor(shaded, out=shaded)
     np.clip(shaded, 0.0, 255.0, out=shaded)
-    return RgbImage(shaded.astype(np.uint8))
+    out = shaded.astype(np.uint8)
+    out.flags.writeable = False  # nothing else holds it, so RgbImage need not copy
+    return RgbImage(out)
 
 
 def shade_image(img: RgbImage, p: PhongParams) -> RgbImage:

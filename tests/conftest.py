@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from shadesearch.image import RgbImage
+from shadesearch.image import GrayImage, RgbImage
 
 
 def random_rgb(rng: np.random.Generator, width: int, height: int) -> RgbImage:
@@ -15,6 +15,14 @@ def rgb_images(draw, max_side: int = 8) -> RgbImage:
     h = draw(st.integers(1, max_side))
     data = draw(st.binary(min_size=3 * w * h, max_size=3 * w * h))
     return RgbImage(np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3))
+
+
+@st.composite
+def gray_images(draw, max_side: int = 8) -> GrayImage:
+    w = draw(st.integers(1, max_side))
+    h = draw(st.integers(1, max_side))
+    data = draw(st.binary(min_size=w * h, max_size=w * h))
+    return GrayImage(np.frombuffer(data, dtype=np.uint8).reshape(h, w))
 
 
 @pytest.fixture

@@ -17,8 +17,11 @@ from shadesearch.image import decode_ppm, encode_ppm
 from conftest import random_rgb
 
 
-def _subprocess_env() -> dict:
-    return dict(os.environ, PYTHONPATH=str(Path(shadesearch.__file__).resolve().parents[1]))
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python -m shadesearch`` in a child process, so tracebacks show."""
+    env = dict(os.environ, PYTHONPATH=str(Path(shadesearch.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "shadesearch", *args],
+                          capture_output=True, text=True, env=env)
 
 
 @pytest.fixture(scope="module")
@@ -58,14 +61,22 @@ class TestIndexCommand:
         (corpus / "a").mkdir(parents=True)
         for rel in ("a/00.ppm", "root.ppm"):
             (corpus / rel).write_bytes(encode_ppm(random_rgb(rng, 4, 4)))
-        done = subprocess.run(
-            [sys.executable, "-m", "shadesearch", "index", str(corpus),
-             "--out", str(tmp_path / "ix.json")],
-            capture_output=True, text=True, env=_subprocess_env(),
-        )
+        done = _run_cli("index", str(corpus), "--out", str(tmp_path / "ix.json"))
         assert done.returncode == 1
         assert done.stderr == (f"error: {corpus / 'root.ppm'}: image lies directly under "
                                "the corpus root, outside any category directory\n")
+        assert done.stdout == ""
+        assert not (tmp_path / "ix.json").exists()
+
+    def test_unextractable_image_fails_with_one_line(self, tmp_path, rng):
+        corpus = tmp_path / "c"
+        (corpus / "a").mkdir(parents=True)
+        (corpus / "a" / "00.ppm").write_bytes(encode_ppm(random_rgb(rng, 4, 4)))
+        (corpus / "a" / "thin.ppm").write_bytes(encode_ppm(random_rgb(rng, 1, 5)))
+        done = _run_cli("index", str(corpus), "--out", str(tmp_path / "ix.json"))
+        assert done.returncode == 1
+        assert done.stderr == ("error: a/thin.ppm: offset (1, 0) yields no pixel pairs "
+                               "on a 1x5 image\n")
         assert done.stdout == ""
         assert not (tmp_path / "ix.json").exists()
 
@@ -99,13 +110,19 @@ class TestQueryCommand:
     def test_deeply_nested_index_fails_with_one_line(self, tmp_path):
         index = tmp_path / "deep.json"
         index.write_text("[" * 200_000 + "]" * 200_000)
-        done = subprocess.run(
-            [sys.executable, "-m", "shadesearch", "query", str(index), str(tmp_path / "q.ppm")],
-            capture_output=True, text=True, env=_subprocess_env(),
-        )
+        done = _run_cli("query", str(index), str(tmp_path / "q.ppm"))
         assert done.returncode == 1
         assert done.stderr.startswith(f"error: {index}: malformed index document")
         assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr
+        assert done.stdout == ""
+
+    def test_unextractable_query_image_fails_with_one_line(self, workspace, tmp_path, rng):
+        image = tmp_path / "thin.ppm"
+        image.write_bytes(encode_ppm(random_rgb(rng, 1, 5)))
+        done = _run_cli("query", str(workspace["unshaded"]), str(image))
+        assert done.returncode == 1
+        assert done.stderr == (f"error: {image}: offset (1, 0) yields no pixel pairs "
+                               "on a 1x5 image\n")
         assert done.stdout == ""
 
     def test_missing_index_file_fails(self, workspace, capsys):

@@ -3,6 +3,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+
 from shadesearch.features import (
     EmptyPairsError,
     ExtractionOptions,
@@ -20,7 +22,7 @@ from shadesearch.features import (
 from shadesearch.image import GrayImage, RgbImage, to_grayscale
 from shadesearch.shading import PhongParams, shade_image
 
-from conftest import random_rgb
+from conftest import gray_images, random_rgb
 
 SOBEL_X_ROWS = ((-1, 0, 1), (-2, 0, 2), (-1, 0, 1))
 SOBEL_Y_ROWS = ((1, 2, 1), (0, 0, 0), (-1, -2, -1))
@@ -42,6 +44,23 @@ def naive_sobel(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     sy += SOBEL_Y_ROWS[ky][kx] * int(pixels[yy, xx])
             gx[y, x] = sx
             gy[y, x] = sy
+    return gx, gy
+
+
+def nine_window_sobel(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The whole-array form sobel_gradients had before it became separable:
+    one int64 multiply-add per kernel weight over shifted windows."""
+    h, w = pixels.shape
+    padded = np.pad(pixels.astype(np.int64), 1, mode="edge")
+    gx = np.zeros((h, w), dtype=np.int64)
+    gy = np.zeros((h, w), dtype=np.int64)
+    for ky in range(3):
+        for kx in range(3):
+            window = padded[ky : ky + h, kx : kx + w]
+            if SOBEL_X_ROWS[ky][kx]:
+                gx += SOBEL_X_ROWS[ky][kx] * window
+            if SOBEL_Y_ROWS[ky][kx]:
+                gy += SOBEL_Y_ROWS[ky][kx] * window
     return gx, gy
 
 
@@ -248,6 +267,22 @@ class TestSobel:
         g = sobel_gradients(GrayImage(pixels))
         gx, gy = naive_sobel(pixels)
         assert np.array_equal(g.gx, gx) and np.array_equal(g.gy, gy)
+
+    @settings(deadline=None)
+    @given(gray_images(max_side=40))
+    @example(GrayImage(np.array([[200]], dtype=np.uint8)))
+    @example(GrayImage(np.array([[0, 255, 3, 255, 7]], dtype=np.uint8)))
+    @example(GrayImage(np.array([[0], [255], [3], [255], [7]], dtype=np.uint8)))
+    @example(GrayImage(np.full((3, 4), 255, dtype=np.uint8)))
+    def test_equals_nine_window_form(self, gray):
+        g = sobel_gradients(gray)
+        gx, gy = nine_window_sobel(gray.pixels)
+        assert g.gx.dtype == np.int64 and g.gy.dtype == np.int64
+        assert g.gx.shape == g.gy.shape == gray.pixels.shape
+        assert np.array_equal(g.gx, gx) and np.array_equal(g.gy, gy)
+        if gray.pixels.size <= 64:  # the scalar loop is slow
+            sx, sy = naive_sobel(gray.pixels)
+            assert np.array_equal(g.gx, sx) and np.array_equal(g.gy, sy)
 
     def test_response_bounds(self, rng):
         pixels = rng.integers(0, 256, size=(7, 9), dtype=np.uint8)

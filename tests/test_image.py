@@ -1,10 +1,13 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from shadesearch import image
 from shadesearch.image import (
+    LUMA_WEIGHTS,
     GrayImage,
     PpmDecodeError,
     RgbImage,
@@ -12,6 +15,7 @@ from shadesearch.image import (
     encode_ppm,
     to_grayscale,
 )
+from shadesearch.shading import PhongParams, shade_image, shade_image_tiled
 
 from conftest import random_rgb, rgb_images
 
@@ -32,6 +36,15 @@ def reference_ppm_read(data: bytes) -> tuple[int, int, bytes]:
     assert maxval == 255
     payload = data[pos + 1 : pos + 1 + 3 * w * h]
     return w, h, payload
+
+
+def float_cast_grayscale(pixels: np.ndarray) -> np.ndarray:
+    """The luma to_grayscale computed before it multiplied the uint8 channels
+    directly: cast the whole raster to float64, then weight, sum and round."""
+    rgb = pixels.astype(np.float64)
+    wr, wg, wb = LUMA_WEIGHTS
+    luma = rgb[..., 0] * wr + rgb[..., 1] * wg + rgb[..., 2] * wb
+    return np.clip(np.floor(luma + 0.5), 0.0, 255.0).astype(np.uint8)
 
 
 class TestDecode:
@@ -144,12 +157,56 @@ class TestGrayscale:
         gray = to_grayscale(img).pixels
         assert gray[0, 0] >= gray[0, 1]
 
+    @settings(deadline=None)
+    @given(rgb_images(max_side=40))
+    @example(random_rgb(np.random.default_rng(5), 64, 48))
+    @example(RgbImage(np.full((1, 1, 3), 255, dtype=np.uint8)))
+    def test_equals_float_cast_formula(self, img):
+        gray = to_grayscale(img).pixels
+        assert gray.dtype == np.uint8 and gray.shape == img.pixels.shape[:2]
+        assert gray.tobytes() == float_cast_grayscale(img.pixels).tobytes()
+        assert not gray.flags.writeable
+
+    def test_equals_float_cast_formula_on_every_colour(self):
+        # All 2**24 colours, one 256 x 256 (g, b) plane per red value. About
+        # 5,500 of them round differently if the three products are summed in
+        # another order, too few for random draws to find reliably.
+        g, b = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+        for r in range(256):
+            pixels = np.stack((np.full_like(g, r), g, b), axis=2).astype(np.uint8)
+            got = to_grayscale(RgbImage(pixels)).pixels
+            assert got.tobytes() == float_cast_grayscale(pixels).tobytes(), f"red {r}"
+
 
 class TestImageTypes:
     def test_pixel_grids_are_read_only(self, rng):
         img = random_rgb(rng, 4, 3)
         with pytest.raises(ValueError):
             img.pixels[0, 0, 0] = 7
+
+    def test_read_only_grid_is_kept_and_writable_one_copied(self, rng):
+        frozen = rng.integers(0, 256, size=(3, 4, 3), dtype=np.uint8)
+        frozen.flags.writeable = False
+        assert RgbImage(frozen).pixels is frozen
+        owned = frozen.copy()
+        assert RgbImage(owned).pixels is not owned and owned.flags.writeable
+
+    def test_fresh_rasters_are_wrapped_without_a_copy(self, rng):
+        # to_grayscale and the shading composition freeze the arrays they
+        # build, so wrapping them does not copy them again.
+        wrapped = []
+
+        def recording(pixels, expected_ndim):
+            wrapped.append(pixels.flags.writeable)
+            return as_readonly(pixels, expected_ndim)
+
+        img = random_rgb(rng, 5, 4)
+        as_readonly = image._as_readonly_u8
+        with mock.patch.object(image, "_as_readonly_u8", recording):
+            to_grayscale(img)
+            shade_image(img, PhongParams())
+            shade_image_tiled(img, PhongParams(), 2)
+        assert wrapped and not any(wrapped)
 
     def test_rejects_out_of_range_values(self):
         with pytest.raises(ValueError):

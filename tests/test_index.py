@@ -11,6 +11,7 @@ from shadesearch import indexing
 from shadesearch.features import (
     FEATURE_COUNT,
     FEATURE_NAMES,
+    EmptyPairsError,
     ExtractionOptions,
     validate_feature_ranges,
 )
@@ -133,6 +134,13 @@ class TestBuildIndex:
         (tmp_path / "a" / "broken.ppm").write_bytes(b"P6 2 2 255 junk")
         with pytest.raises(PpmDecodeError, match="a/broken.ppm"):
             build_index(tmp_path)
+
+    def test_unextractable_image_names_the_file(self, tmp_path, rng):
+        make_corpus(tmp_path, rng, {"a": 1})
+        (tmp_path / "a" / "thin.ppm").write_bytes(encode_ppm(random_rgb(rng, 1, 5)))
+        with pytest.raises(EmptyPairsError) as caught:
+            build_index(tmp_path)
+        assert str(caught.value) == "a/thin.ppm: offset (1, 0) yields no pixel pairs on a 1x5 image"
 
 
 class TestPersistence:

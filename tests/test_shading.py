@@ -20,7 +20,7 @@ from shadesearch.shading import (
     unit,
 )
 
-from conftest import random_rgb, rgb_images
+from conftest import gray_images, random_rgb, rgb_images
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -43,6 +43,22 @@ def shaded_pixel_oracle(img: RgbImage, p: PhongParams) -> np.ndarray:
                 )
                 out[y, x, c] = min(255, max(0, math.floor(value + 0.5)))
     return out
+
+
+def stacked_normals(dhdx: np.ndarray, dhdy: np.ndarray) -> np.ndarray:
+    """Unit normals as they were built before the plane-wise rewrite: stack
+    (-dhdx, -dhdy, 1) and divide by np.linalg.norm over the last axis."""
+    n = np.stack((-dhdx, -dhdy, np.ones_like(dhdx)), axis=2)
+    n /= np.linalg.norm(n, axis=2, keepdims=True)
+    return n
+
+
+def reference_unit_normals(gray: GrayImage, height_scale: float) -> np.ndarray:
+    """Central differences with edge replication, normalized by stacked_normals."""
+    h = gray.pixels.astype(np.float64) * (height_scale / 255.0)
+    padded = np.pad(h, 1, mode="edge")
+    return stacked_normals((padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0,
+                           (padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0)
 
 
 def tiled_loop_cosines(img: RgbImage, p: PhongParams,
@@ -145,6 +161,28 @@ class TestHeightFieldNormals:
         lengths = np.linalg.norm(field.normals, axis=2)
         assert np.all(np.abs(lengths - 1.0) <= 1e-9)
         assert np.all(field.normals[..., 2] > 0)
+
+    @settings(deadline=None)
+    @given(gray=gray_images(max_side=40), height_scale=st.floats(0.01, 1e6),
+           rows=st.lists(st.integers(0, 39), min_size=1, max_size=8),
+           cols=st.lists(st.integers(0, 39), min_size=1, max_size=8))
+    @example(gray=GrayImage(np.array([[9]], dtype=np.uint8)), height_scale=10.0,
+             rows=[0, 0], cols=[0, 0])
+    @example(gray=GrayImage(np.array([[0, 255, 0, 7, 7]], dtype=np.uint8)),
+             height_scale=1e6, rows=[0], cols=[0, 2, 4, 4])
+    @example(gray=GrayImage(np.array([[0], [255], [0], [7], [7]], dtype=np.uint8)),
+             height_scale=0.01, rows=[4, 1, 0], cols=[0])
+    def test_plane_wise_normals_equal_stacked_norm(self, gray, height_scale, rows, cols):
+        expected = reference_unit_normals(gray, height_scale)
+        got = shading._unit_normals(gray, height_scale)
+        assert got.shape == expected.shape and got.dtype == np.float64
+        # Byte for byte, so signed zeros count too.
+        assert got.tobytes() == expected.tobytes()
+        assert height_field_normals(gray, height_scale).normals.tobytes() == expected.tobytes()
+        # Lattice normals at any rows and columns, repeats and any order included.
+        ys, xs = np.array(rows) % gray.height, np.array(cols) % gray.width
+        lattice = shading._lattice_normals(gray, height_scale, ys, xs)
+        assert lattice.tobytes() == np.ascontiguousarray(expected[np.ix_(ys, xs)]).tobytes()
 
     def test_rejects_non_positive_scale(self):
         gray = GrayImage(np.zeros((2, 2), dtype=np.uint8))
