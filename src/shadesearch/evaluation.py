@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import write_new_file
 from .image import RgbImage, encode_ppm
 from .indexing import Index
 
@@ -208,7 +209,9 @@ def emit_report(shaded: EvalResult, unshaded: EvalResult, out_dir) -> list[Path]
     """Write report.csv and report.html comparing the two runs.
 
     The CSV stores full-precision ratios; the HTML renders percentages to
-    one decimal place. Output bytes are a pure function of the inputs.
+    one decimal place. Output bytes are a pure function of the inputs. Each
+    file is written as a new file that replaces whatever was at its path; a
+    symlink there is replaced, not followed.
     """
     if shaded.mode != "shaded" or unshaded.mode != "unshaded":
         raise ValueError("emit_report expects a shaded result then an unshaded result")
@@ -236,8 +239,7 @@ def emit_report(shaded: EvalResult, unshaded: EvalResult, out_dir) -> list[Path]
              row.relevant_in_db, repr(row.precision), repr(row.recall)]
         )
     csv_path = out_dir / "report.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(buf.getvalue())
+    write_new_file(csv_path, buf.getvalue().encode("utf-8"))
 
     html = "\n".join(
         [
@@ -257,8 +259,7 @@ def emit_report(shaded: EvalResult, unshaded: EvalResult, out_dir) -> list[Path]
         ]
     )
     html_path = out_dir / "report.html"
-    with open(html_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(html)
+    write_new_file(html_path, html.encode("utf-8"))
     return [csv_path, html_path]
 
 
@@ -317,7 +318,8 @@ def generate_synthetic_corpus(out_dir, seed: int) -> Path:
     Each category has a distinct procedural recipe (checker scale, gradient
     direction, dominant hue, full-range noise, stripe frequency); per-image
     jitter is drawn from numpy's PCG64 generator seeded with ``seed``, so an
-    identical seed reproduces a byte-identical tree.
+    identical seed reproduces a byte-identical tree. Images already in the
+    tree are replaced by new files.
     """
     rng = np.random.default_rng(seed)
     out = Path(out_dir)
@@ -326,5 +328,5 @@ def generate_synthetic_corpus(out_dir, seed: int) -> Path:
         directory.mkdir(parents=True, exist_ok=True)
         for i in range(IMAGES_PER_CATEGORY):
             pixels = _RENDERERS[category](rng).astype(np.uint8)
-            (directory / f"{i:02d}.ppm").write_bytes(encode_ppm(RgbImage(pixels)))
+            write_new_file(directory / f"{i:02d}.ppm", encode_ppm(RgbImage(pixels)))
     return out

@@ -78,8 +78,9 @@ class ExtractionOptions:
         if len(offset) != 2:
             raise ValueError("offset must be (dx, dy)")
         object.__setattr__(self, "offset", offset)
-        if self.edge_threshold <= 0:
-            raise ValueError("edge_threshold must be > 0")
+        if not 0 < self.edge_threshold < math.inf:
+            raise ValueError(f"edge_threshold must be finite and > 0, "
+                             f"got {self.edge_threshold!r}")
 
 
 DEFAULT_EXTRACTION = ExtractionOptions()
@@ -214,8 +215,8 @@ def sobel_gradients(gray: GrayImage) -> GradientField:
 
 def edge_densities(g: GradientField, threshold: float) -> tuple[float, float]:
     """Fractions of pixels whose |gx| (vertical) / |gy| (horizontal) exceed threshold."""
-    if threshold <= 0:
-        raise ValueError("threshold must be > 0")
+    if not 0 < threshold < math.inf:
+        raise ValueError(f"threshold must be finite and > 0, got {threshold!r}")
     size = g.gx.size
     v_density = float((np.abs(g.gx) > threshold).sum() / size)
     h_density = float((np.abs(g.gy) > threshold).sum() / size)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import write_new_file
+
 # ITU-R BT.601 luma weights.
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
@@ -179,4 +181,5 @@ def read_ppm(path) -> RgbImage:
 
 
 def write_ppm(path, img: RgbImage) -> None:
-    Path(path).write_bytes(encode_ppm(img))
+    """Write img to path as a new file; a file or symlink there is replaced."""
+    write_new_file(path, encode_ppm(img))

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import temporary_beside
 from .features import (
     DEFAULT_EXTRACTION,
     FEATURE_COUNT,
@@ -185,18 +186,16 @@ def save_index(ix: Index, path) -> None:
     of its path, since a load derives the category from the path. The
     document is written to a temporary file in the same directory, which
     then replaces ``path``, so a write that fails part-way leaves any index
-    already at ``path`` as it was.
+    already at ``path`` as it was. Replacing, rather than unlinking and
+    renaming as other outputs do, keeps a whole index at ``path`` at every
+    moment. Non-finite values raise ValueError: they are not JSON.
     """
-    text = json.dumps(_index_to_doc(ix), indent=2) + "\n"
+    text = json.dumps(_index_to_doc(ix), indent=2, allow_nan=False) + "\n"
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
+    with temporary_beside(path) as tmp:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _require(doc: dict, key: str, kind: type, where: str):
@@ -280,11 +279,15 @@ def _load_features(doc, paths: list[str]) -> np.ndarray:
     return raw
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def _load_doc(path) -> Index:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
     except (ValueError, RecursionError) as exc:  # undecodable, malformed or too deep
         raise IndexFormatError(f"malformed index document: {exc}") from exc
     version = _require(doc, "version", int, "index")
@@ -311,11 +314,11 @@ def load_index(path) -> Index:
     """Load and validate a persisted index.
 
     Raises IndexFormatError, its message starting with ``path``, for a file
-    that is not UTF-8 JSON, an unknown or retired version, a schema
-    violation, paths that are unsorted, duplicated or outside any category,
-    and a feature block of the wrong length or with a value that is
-    non-finite or out of its slot's range. OSError from reading the file
-    passes through.
+    that is not UTF-8 JSON or holds a bare ``NaN`` or ``Infinity`` token, an
+    unknown or retired version, a schema violation, paths that are unsorted,
+    duplicated or outside any category, and a feature block of the wrong
+    length or with a value that is non-finite or out of its slot's range.
+    OSError from reading the file passes through.
     """
     try:
         return _load_doc(path)

@@ -77,6 +77,10 @@ class PhongParams:
     height_scale: float = 10.0
 
     def __post_init__(self):
+        for name in ("ka", "kd", "ks", "ia", "il", "ns", "height_scale"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("ka", "kd", "ks", "ia", "il"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -84,10 +88,27 @@ class PhongParams:
             raise ValueError("ns must be >= 1")
         if self.height_scale <= 0:
             raise ValueError("height_scale must be > 0")
+        # A slope of the normal field is at most height_scale / 2, and its
+        # square is summed into each normal's length.
+        if not math.isfinite(self.height_scale * self.height_scale):
+            raise ValueError(f"height_scale {self.height_scale!r} is too large: "
+                             "the normal field's squared slopes overflow")
+        # The composition scales a channel value c <= 255 by ia*ka and by
+        # il*kd, and adds 255*il*ks: a white, fully lit pixel sums all three.
+        ambient, diffuse = self.ia * self.ka, self.il * self.kd
+        specular = 255.0 * self.il * self.ks
+        for name, value in (("ia*ka", ambient), ("il*kd", diffuse), ("255*il*ks", specular)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not math.isfinite(255.0 * ambient + 255.0 * diffuse + specular):
+            raise ValueError("ia*ka, il*kd and il*ks are too large: a lit pixel's "
+                             "intensity, 255*ia*ka + 255*il*kd + 255*il*ks, overflows")
         for name in ("light_dir", "view_dir"):
             vec = tuple(float(c) for c in getattr(self, name))
             if len(vec) != 3:
                 raise ValueError(f"{name} must be a 3-vector")
+            if not all(math.isfinite(c) for c in vec):
+                raise ValueError(f"{name} components must be finite, got {vec!r}")
             if abs(math.sqrt(sum(c * c for c in vec)) - 1.0) > _UNIT_TOL:
                 raise ValueError(f"{name} must have unit length")
             object.__setattr__(self, name, vec)
@@ -175,8 +196,8 @@ def height_field_normals(gray: GrayImage, height_scale: float) -> NormalField:
     Gradients are central differences with edge replication, so 1-pixel
     dimensions degrade to zero gradient and a flat (0, 0, 1) normal.
     """
-    if height_scale <= 0:
-        raise ValueError("height_scale must be > 0")
+    if not 0 < height_scale < math.inf:
+        raise ValueError(f"height_scale must be finite and > 0, got {height_scale!r}")
     return NormalField(_unit_normals(gray, height_scale))
 
 

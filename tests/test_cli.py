@@ -201,3 +201,40 @@ class TestSynthCommand:
         assert [p.name for p in files_one] == [p.name for p in files_two]
         for a, b in zip(files_one, files_two):
             assert a.read_bytes() == b.read_bytes()
+
+
+class TestNonFiniteOptions:
+    @pytest.mark.parametrize("command, flag, value, field", [
+        ("index", "--ka", "nan", "ka"),
+        ("index", "--edge-threshold", "nan", "edge_threshold"),
+        ("shade", "--height-scale", "inf", "height_scale"),
+        ("shade", "--ns", "nan", "ns"),
+        ("shade", "--ks", "1e308", "255*il*ks"),
+    ])
+    def test_fails_with_one_line_naming_the_field(self, workspace, tmp_path, command, flag,
+                                                   value, field):
+        out = tmp_path / "out"
+        if command == "index":
+            args = ["index", str(workspace["corpus"]), "--phong"]
+        else:
+            args = ["shade", str(workspace["corpus"] / "hue" / "00.ppm")]
+        done = _run_cli(*args, "--out", str(out), flag, value)
+        assert done.returncode == 1
+        assert done.stderr.startswith(f"error: {field} ")
+        assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr
+        assert done.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestWriteErrors:
+    @pytest.mark.parametrize("command", ["index", "shade"])
+    def test_missing_directory_names_the_target(self, workspace, tmp_path, command):
+        target = tmp_path / "missing" / "x.out"
+        source = workspace["corpus"]
+        if command == "shade":
+            source = source / "hue" / "00.ppm"
+        done = _run_cli(command, str(source), "--out", str(target))
+        assert done.returncode == 1
+        assert done.stderr == f"error: [Errno 2] No such file or directory: '{target}'\n"
+        assert done.stdout == ""
+        assert list(tmp_path.iterdir()) == []

@@ -1,9 +1,11 @@
 import math
+import re
 import statistics
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from shadesearch.features import (
     EmptyPairsError,
@@ -22,7 +24,7 @@ from shadesearch.features import (
 from shadesearch.image import GrayImage, RgbImage, to_grayscale
 from shadesearch.shading import PhongParams, shade_image
 
-from conftest import gray_images, random_rgb
+from conftest import gray_images, random_rgb, rgb_images
 
 SOBEL_X_ROWS = ((-1, 0, 1), (-2, 0, 2), (-1, 0, 1))
 SOBEL_Y_ROWS = ((1, 2, 1), (0, 0, 0), (-1, -2, -1))
@@ -369,3 +371,43 @@ class TestExtractFeatures:
             FeatureVector(tuple(range(14)))
         with pytest.raises(ValueError):
             FeatureVector(tuple([float("nan")] + [0.0] * 14))
+
+
+_FLOAT_OPTIONS = ("ka", "kd", "ks", "ia", "il", "ns", "height_scale", "light_dir", "view_dir",
+                  "edge_threshold")
+# Besides any float: values at and just past each overflow bound with the
+# other options at their defaults (a lit white pixel's sum at ka ~ 7.05e305,
+# the squared slopes at height_scale ~ 1.34e154).
+_ANY_FLOAT = st.floats() | st.sampled_from([
+    0.0, -0.0, 5e-324, 1.0, 7.05e305, 7.06e305, 1.34e154, 1.35e154, 1e308,
+    sys.float_info.max, math.inf, -math.inf, math.nan,
+])
+
+
+class TestOptionValues:
+    # Two columns at least, for the default co-occurrence offset (1, 0); a
+    # white image meets the composition's largest channel value everywhere.
+    @given(image=rgb_images().filter(lambda img: img.width > 1)
+           | st.just(RgbImage(np.full((3, 3, 3), 255, dtype=np.uint8))),
+           field=st.sampled_from(_FLOAT_OPTIONS),
+           component=st.integers(0, 2), value=_ANY_FLOAT)
+    def test_any_float_gives_finite_features_or_names_the_field(self, image, field,
+                                                                 component, value):
+        phong, opts = {}, {}
+        if field.endswith("_dir"):
+            vec = list(getattr(PhongParams(), field))
+            vec[component] = value
+            phong[field] = tuple(vec)
+        elif field == "edge_threshold":
+            opts[field] = value
+        else:
+            phong[field] = value
+        try:
+            p, o = PhongParams(**phong), ExtractionOptions(**opts)
+        except ValueError as exc:
+            assert re.search(rf"\b{field}\b", str(exc)), str(exc)
+            return
+        # Shading and extraction form no NaN and overflow nowhere.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            fv = extract_features(image, phong=p, opts=o)
+        assert all(math.isfinite(v) for v in fv.values)

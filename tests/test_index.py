@@ -1,4 +1,5 @@
 import base64
+import itertools
 import json
 import math
 import re
@@ -262,6 +263,19 @@ class TestPersistence:
         assert path.read_bytes() == old
         assert [p.name for p in path.parent.iterdir()] == ["ix.json"]
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_token_rejected(self, tmp_path, rng, token):
+        doc = self._saved_doc(tmp_path, rng)
+        doc["extraction_opts"]["edge_threshold"] = float(token)
+        self._expect_load_error(tmp_path, doc, f"{token} is not a JSON number")
+
+    def test_non_finite_value_is_not_saved(self, tmp_path):
+        phong = PhongParams()
+        object.__setattr__(phong, "ka", math.nan)  # past the constructor's check
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_index(hand_made_index([_VALID_ROW], phong), tmp_path / "ix.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_phong_rejected(self, tmp_path, rng):
         make_corpus(tmp_path / "c", rng, {"a": 2})
         save_index(build_index(tmp_path / "c", phong=PhongParams()), tmp_path / "ix.json")
@@ -308,7 +322,14 @@ valid_rows = st.tuples(
 
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):
-    return tmp_path_factory.mktemp("index-properties")
+    """A directory and a fresh file name in it for each example.
+
+    Saving or writing over an existing file costs a flush on some file
+    systems (ext4's auto_da_alloc), so no example reuses a name.
+    """
+    directory = tmp_path_factory.mktemp("index-properties")
+    names = itertools.count()
+    return lambda stem: directory / f"{stem}-{next(names)}.json"
 
 
 class TestSaveChecks:
@@ -375,7 +396,7 @@ class TestRoundTripProperty:
            phong=st.sampled_from([None, PhongParams()]))
     def test_load_of_save_is_the_index_to_the_bit(self, scratch, rows, phong):
         ix = hand_made_index(rows, phong)
-        path = scratch / "round-trip.json"
+        path = scratch("round-trip")
         save_index(ix, path)
         loaded = load_index(path)
         assert loaded == ix
@@ -455,7 +476,7 @@ json_values = st.recursive(
 class TestLoadFuzz:
     @given(data=broken_documents())
     def test_every_mutation_raises_index_format_error(self, scratch, data):
-        path = scratch / "mutated.json"
+        path = scratch("mutated")
         path.write_bytes(data)
         with pytest.raises(IndexFormatError) as info:
             load_index(path)
@@ -463,7 +484,7 @@ class TestLoadFuzz:
 
     @given(doc=json_values)
     def test_arbitrary_json_raises_only_index_format_error(self, scratch, doc):
-        path = scratch / "arbitrary.json"
+        path = scratch("arbitrary")
         path.write_text(json.dumps(doc))
         with pytest.raises(IndexFormatError) as info:
             load_index(path)

@@ -135,8 +135,32 @@ class TestPhongParams:
         with pytest.raises(ValueError, match="kd"):
             PhongParams(kd=-0.1)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"ka": math.nan}, "ka must be finite"),
+        ({"ks": math.inf}, "ks must be finite"),
+        ({"ns": math.nan}, "ns must be finite"),
+        ({"height_scale": math.nan}, "height_scale must be finite"),
+        ({"height_scale": math.inf}, "height_scale must be finite"),
+        ({"height_scale": 1e200}, r"height_scale 1e\+200 is too large"),
+        ({"light_dir": (math.nan, 0.0, 1.0)}, "light_dir components must be finite"),
+        ({"view_dir": (0.0, 0.0, math.inf)}, "view_dir components must be finite"),
+        ({"ia": 1e200, "ka": 1e200}, r"ia\*ka must be finite"),
+        ({"il": 1e200, "kd": 1e200}, r"il\*kd must be finite"),
+        ({"ks": 1e308}, r"255\*il\*ks must be finite"),
+        ({"ka": 1e306}, "overflows"),
+    ])
+    def test_rejects_non_finite_values_and_products(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            PhongParams(**kwargs)
+
 
 class TestHeightFieldNormals:
+    @pytest.mark.parametrize("height_scale", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_height_scale_that_is_not_finite_and_positive(self, height_scale):
+        gray = GrayImage(np.zeros((2, 2), dtype=np.uint8))
+        with pytest.raises(ValueError, match="height_scale must be finite and > 0"):
+            height_field_normals(gray, height_scale)
+
     def test_constant_image_is_flat(self):
         gray = GrayImage(np.full((5, 7), 99, dtype=np.uint8))
         field = height_field_normals(gray, 25.0)
