@@ -7,6 +7,7 @@ from Sobel responses. Border handling everywhere is edge replication.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,11 +73,20 @@ class ExtractionOptions:
     edge_threshold: float = 255.0  # on the raw Sobel response scale (max 1020)
 
     def __post_init__(self):
-        if not 2 <= self.levels <= 256:
+        try:
+            levels = operator.index(self.levels)
+        except TypeError:
+            raise ValueError(f"levels must be an integer, got {self.levels!r}") from None
+        if not 2 <= levels <= 256:
             raise ValueError("levels must be in [2, 256]")
-        offset = tuple(int(v) for v in self.offset)
+        try:
+            offset = tuple(operator.index(v) for v in self.offset)
+        except TypeError:
+            raise ValueError(f"offset must be a pair of integers (dx, dy), "
+                             f"got {self.offset!r}") from None
         if len(offset) != 2:
             raise ValueError("offset must be (dx, dy)")
+        object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "offset", offset)
         if not 0 < self.edge_threshold < math.inf:
             raise ValueError(f"edge_threshold must be finite and > 0, "

@@ -2,10 +2,8 @@
 
 A grayscale copy of the input is treated as a surface z = height_scale *
 gray / 255; per-pixel unit normals come from central differences of that
-surface (edge rows and columns are replicated). The normals are built plane
-by plane: one length sqrt(dz/dx^2 + dz/dy^2 + 1) per pixel, and the three
-components (-dz/dx, -dz/dy, 1) divided by it straight into one
-(height, width, 3) array. Each pixel is then lit as
+surface (edge rows and columns are replicated): (-dz/dx, -dz/dy, 1) divided
+by its length sqrt(dz/dx^2 + dz/dy^2 + 1). Each pixel is then lit as
 
     I = ka*ia + kd*il*max(N.L, 0) + ks*il*max(N.H, 0)**ns
 
@@ -21,10 +19,16 @@ interpolant (N = A*x + B*y + C) reproduces every corner exactly; because the
 light and view directions are global constants, the interpolated halfway
 vector is constant per image (D = E = 0).
 
-Both modes work on whole arrays. The tiled mode builds small per-cell
-coefficient tables and evaluates every pixel from them in one pass, so it is
-the cheaper of the two. ``tile_ndoth`` and ``TileInterpolant`` are the scalar
-definition of a tiled pixel, which the whole-array code reproduces to the
+Both modes work over row bands of about ``_BAND_PIXELS`` pixels, so that a
+band's float64 scratch stays in a core's L2 cache. Each fills two full-size
+planes of clamped cosines, N.L and N.H, and one shared composition turns
+them into the shaded image, band by band. The exact mode builds no normal
+array: per band it takes the slopes, their lengths and the two cosines. The
+tiled mode builds small per-cell coefficient tables once, then per band finds
+each pixel's triangle and evaluates its interpolated normal from them. That
+is more arithmetic per pixel than the exact normals take, so the tiled mode
+is the slower of the two. ``tile_ndoth`` and ``TileInterpolant`` are the
+scalar definition of a tiled pixel, which the banded code reproduces to the
 bit; they serve as the oracle for tests and are not called when shading.
 """
 
@@ -55,6 +59,12 @@ DEFAULT_LIGHT_DIR = unit((1.0, 1.0, 1.0))
 DEFAULT_VIEW_DIR = (0.0, 0.0, 1.0)
 
 _UNIT_TOL = 1e-9
+
+# Pixels per band: 64 rows at 512 wide. One band's float64 plane is 256 KiB,
+# so the few planes a kernel step touches stay in a core's L2 cache (1 MiB on
+# a 2-vCPU AMD EPYC VM). There, at 512², bands of 1 << 13 to 1 << 16 pixels
+# timed alike and 1 << 12 was slower.
+_BAND_PIXELS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -149,15 +159,39 @@ class NormalField:
         return self.normals.shape[0]
 
 
+def _bands(height: int, width: int) -> list[tuple[int, int]]:
+    """Row ranges [y0, y1) of about _BAND_PIXELS pixels each, and at least one
+    row each, covering the image in order."""
+    rows = max(1, _BAND_PIXELS // width)
+    return [(y0, min(y0 + rows, height)) for y0 in range(0, height, rows)]
+
+
+def _slopes(padded: np.ndarray, height_scale: float) -> tuple[np.ndarray, np.ndarray]:
+    # Central differences of z = height_scale * gray / 255 inside an
+    # edge-padded gray window, over its first two axes: the one copy of the
+    # slope arithmetic, shared by the full, banded and lattice normals.
+    h = np.multiply(padded, height_scale / 255.0, dtype=np.float64)
+    dhdx = h[1:-1, 2:] - h[1:-1, :-2]
+    dhdx /= 2.0
+    dhdy = h[2:, 1:-1] - h[:-2, 1:-1]
+    dhdy /= 2.0
+    return dhdx, dhdy
+
+
+def _norm(x: np.ndarray, y: np.ndarray, z) -> np.ndarray:
+    # sqrt(x*x + y*y + z*z), summed left to right as a norm of the stacked
+    # vector sums it; z may be a scalar.
+    nn = x * x
+    nn += y * y
+    nn += z * z
+    return np.sqrt(nn, out=nn)
+
+
 def _normalized(dhdx: np.ndarray, dhdy: np.ndarray) -> np.ndarray:
-    # (-dhdx, -dhdy, 1) / nn with nn = sqrt(dhdx*dhdx + dhdy*dhdy + 1), summed
-    # left to right as a norm of the stacked vector sums it. Each plane is
-    # divided straight into one (..., 3) array and the whole array negated
-    # once: rounding is sign-symmetric, so -(a / nn) == (-a) / nn bit for bit.
-    nn = dhdx * dhdx
-    nn += dhdy * dhdy
-    nn += 1.0
-    np.sqrt(nn, out=nn)
+    # (-dhdx, -dhdy, 1) / nn. Each plane is divided straight into one (..., 3)
+    # array and the whole array negated once: rounding is sign-symmetric, so
+    # -(a / nn) == (-a) / nn bit for bit.
+    nn = _norm(dhdx, dhdy, 1.0)
     n = np.empty(dhdx.shape + (3,))
     np.divide(dhdx, nn, out=n[..., 0])
     np.divide(dhdy, nn, out=n[..., 1])
@@ -168,26 +202,18 @@ def _normalized(dhdx: np.ndarray, dhdy: np.ndarray) -> np.ndarray:
 
 def _unit_normals(gray: GrayImage, height_scale: float) -> np.ndarray:
     # height_field_normals without NormalField's re-check of every length.
-    h = np.multiply(gray.pixels, height_scale / 255.0, dtype=np.float64)
-    padded = np.pad(h, 1, mode="edge")
-    dhdx = padded[1:-1, 2:] - padded[1:-1, :-2]
-    dhdx /= 2.0
-    dhdy = padded[2:, 1:-1] - padded[:-2, 1:-1]
-    dhdy /= 2.0
-    return _normalized(dhdx, dhdy)
+    return _normalized(*_slopes(np.pad(gray.pixels, 1, mode="edge"), height_scale))
 
 
 def _lattice_normals(gray: GrayImage, height_scale: float,
                      ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    # _unit_normals at rows ys and columns xs only, by the same arithmetic on
-    # the same (edge-replicated) neighbours, so equal to it to the bit there.
-    h = gray.pixels.astype(np.float64) * (height_scale / 255.0)
-    last_y, last_x = h.shape[0] - 1, h.shape[1] - 1
-    dhdx = (h[np.ix_(ys, np.minimum(xs + 1, last_x))]
-            - h[np.ix_(ys, np.maximum(xs - 1, 0))]) / 2.0
-    dhdy = (h[np.ix_(np.minimum(ys + 1, last_y), xs)]
-            - h[np.ix_(np.maximum(ys - 1, 0), xs)]) / 2.0
-    return _normalized(dhdx, dhdy)
+    # _unit_normals at rows ys and columns xs only: the same arithmetic on the
+    # edge-replicated 3x3 neighbourhood of each point, so equal to it to the bit.
+    steps = np.arange(-1, 2)
+    rows = np.clip(steps[:, None] + ys, 0, gray.height - 1)[:, None, :, None]
+    cols = np.clip(steps[:, None] + xs, 0, gray.width - 1)[None, :, None, :]
+    dhdx, dhdy = _slopes(gray.pixels[rows, cols], height_scale)  # (1, 1, ys, xs) each
+    return _normalized(dhdx[0, 0], dhdy[0, 0])
 
 
 def height_field_normals(gray: GrayImage, height_scale: float) -> NormalField:
@@ -211,29 +237,62 @@ def phong_intensity(n_dot_l: float, n_dot_h: float, p: PhongParams) -> float:
 def _compose_shaded(pixels: np.ndarray, n_dot_l: np.ndarray, n_dot_h: np.ndarray,
                     p: PhongParams) -> RgbImage:
     # Shared by both shading modes so they apply bit-identical arithmetic:
-    # c' = clamp(round(ia*ka*c + il*kd*(N.L)*c + 255*il*ks*(N.H)^ns)), summed
-    # left to right. In place, so that it holds two (height, width, 3) float
-    # arrays at a time rather than one per term.
-    rgb = pixels.astype(np.float64)
-    shaded = p.ia * p.ka * rgb
-    rgb *= (p.il * p.kd * n_dot_l)[..., None]
-    shaded += rgb
-    shaded += (255.0 * p.il * p.ks * n_dot_h**p.ns)[..., None]
-    shaded += 0.5
-    np.floor(shaded, out=shaded)
-    np.clip(shaded, 0.0, 255.0, out=shaded)
-    out = shaded.astype(np.uint8)
+    # c' = min(ia*ka*c + il*kd*(N.L)*c + 255*il*ks*(N.H)^ns + 0.5, 255), summed
+    # left to right and truncated to uint8, one band at a time. Every term is
+    # finite and non-negative (PhongParams rejects overflowing products), so
+    # truncation is floor(x + 0.5) and no lower clip is needed.
+    ambient, diffuse = p.ia * p.ka, p.il * p.kd
+    specular = 255.0 * p.il * p.ks
+    out = np.empty(pixels.shape, dtype=np.uint8)
+    for y0, y1 in _bands(*n_dot_l.shape):
+        px = pixels[y0:y1]
+        shaded = np.multiply(px, ambient, dtype=np.float64)
+        term = _spread(diffuse * n_dot_l[y0:y1], np.empty(px.shape))
+        shaded += np.multiply(px, term, out=term)
+        glint = n_dot_h[y0:y1] ** p.ns
+        glint *= specular
+        shaded += _spread(glint, term)
+        shaded += 0.5
+        # min(x, 255); np.clip with both bounds runs a faster loop than np.minimum.
+        np.clip(shaded, -np.inf, 255.0, out=shaded)
+        out[y0:y1] = shaded
     out.flags.writeable = False  # nothing else holds it, so RgbImage need not copy
     return RgbImage(out)
 
 
+def _spread(plane: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # Each pixel's value into its three channel slots. Three strided copies
+    # beat a broadcast over a length-3 inner axis about threefold.
+    for c in range(3):
+        out[..., c] = plane
+    return out
+
+
+def _exact_cosines(gray: GrayImage, p: PhongParams) -> tuple[np.ndarray, np.ndarray]:
+    # Clamped N.L and N.H planes of shade_image, one band at a time, with no
+    # normal array. With dx, dy = dhdx/nn, dhdy/nn, each cosine is
+    # dx*(-v0) + dy*(-v1) + (1/nn)*v2: rounding is sign-symmetric, so that is
+    # n0*v0 + n1*v1 + n2*v2 of _unit_normals' n = (-dx, -dy, 1/nn) to the bit.
+    padded = np.pad(gray.pixels, 1, mode="edge")
+    planes = np.empty((2, gray.height, gray.width))
+    for y0, y1 in _bands(gray.height, gray.width):
+        dx, dy = _slopes(padded[y0:y1 + 2], p.height_scale)
+        nz = _norm(dx, dy, 1.0)
+        dx /= nz
+        dy /= nz
+        np.divide(1.0, nz, out=nz)
+        for (v0, v1, v2), out in zip((p.light_dir, p.halfway), planes[:, y0:y1]):
+            np.multiply(dx, -v0, out=out)
+            out += dy * -v1
+            out += nz * v2
+            # max(v, 0.0) as Python evaluates it, so -0.0 stays -0.0.
+            out[out < 0.0] = 0.0
+    return planes[0], planes[1]
+
+
 def shade_image(img: RgbImage, p: PhongParams) -> RgbImage:
     """Per-pixel Phong shading with exact height-field normals."""
-    normals = _unit_normals(to_grayscale(img), p.height_scale)
-    light = np.asarray(p.light_dir)
-    half = np.asarray(p.halfway)
-    n_dot_l = np.maximum(normals @ light, 0.0)
-    n_dot_h = np.maximum(normals @ half, 0.0)
+    n_dot_l, n_dot_h = _exact_cosines(to_grayscale(img), p)
     return _compose_shaded(img.pixels, n_dot_l, n_dot_h, p)
 
 
@@ -295,25 +354,26 @@ def _cells(extent: int, tile: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _clamped_cosines(nx: np.ndarray, ny: np.ndarray, nz: np.ndarray, nn: np.ndarray,
-                     vec: Vec3) -> np.ndarray:
-    # tile_ndoth's arithmetic in its operation order, one plane at a time.
-    # Its constant interpolant is 0*x + 0*y + f, which at x, y >= 0 is 0.0 + f.
+                     vec: Vec3, out: np.ndarray) -> None:
+    # tile_ndoth's arithmetic in its operation order, one plane at a time,
+    # into out. Its constant interpolant is 0*x + 0*y + f, which at x, y >= 0
+    # is 0.0 + f.
     hx, hy, hz = (0.0 + f for f in vec)
     hn = math.sqrt(hx * hx + hy * hy + hz * hz)
-    value = (nx * hx + ny * hy + nz * hz) / (nn * hn)
+    np.multiply(nx, hx, out=out)
+    out += ny * hy
+    out += nz * hz
+    out /= nn * hn
     # max(min(1, max(-1, v)), 0) as Python evaluates it, so -0.0 stays -0.0.
-    np.minimum(value, 1.0, out=value)
-    value[value < 0.0] = 0.0
-    return value
+    np.clip(out, -np.inf, 1.0, out=out)
+    out[out < 0.0] = 0.0
 
 
 def _tile_cosines(gray: GrayImage, tile: int,
                   p: PhongParams) -> tuple[np.ndarray, np.ndarray]:
-    # Clamped N.L and N.H planes of shade_image_tiled. Kept apart so that the
-    # interpolated normal planes are freed before composition.
+    # Clamped N.L and N.H planes of shade_image_tiled, one band at a time.
     marks_x, cell_x, lx = _cells(gray.width, tile)
     marks_y, cell_y, ly = _cells(gray.height, tile)
-    cell_y, ly = cell_y[:, None], ly[:, None]  # as columns, to broadcast over rows
     dx, dy = np.diff(marks_x), np.diff(marks_y)
     corners = _lattice_normals(gray, p.height_scale, marks_y, marks_x)
     n00, n10 = corners[:-1, :-1], corners[:-1, 1:]
@@ -329,17 +389,30 @@ def _tile_cosines(gray: GrayImage, tile: int,
         ((n11 - n01) / span_x, (n11 - n10) / span_y, n10 + n01 - n11),
     ])  # (triangle, coefficient, cell row, cell column, component)
     table = table.transpose(4, 1, 0, 2, 3).reshape(3, 3, -1)
-    # Integer triangle rule; along a zero span the offset is 0, so the upper
-    # triangle is taken there.
-    lower = lx * dy[cell_y] + ly * dx[cell_x] > dx[cell_x] * dy[cell_y]
-    cell = (lower * len(dy) + cell_y) * len(dx) + cell_x
-    nx, ny, nz = (a.take(cell) * lx + b.take(cell) * ly + c.take(cell) for a, b, c in table)
-    nn = np.sqrt(nx * nx + ny * ny + nz * nz)
-    if not nn.all():
-        y, x = np.argwhere(nn == 0.0)[0]
-        raise DegenerateInterpolantError(f"zero-length interpolated normal at ({x}, {y})")
-    return (_clamped_cosines(nx, ny, nz, nn, p.light_dir),
-            _clamped_cosines(nx, ny, nz, nn, p.halfway))
+    # The integer triangle rule lx*dy + ly*dx > dx*dy, as lx*dy > dx*(dy - ly)
+    # with one factor per column and one per row. Along a zero span the offset
+    # is 0, so the upper triangle is taken there.
+    col_dx, row_dy = dx[cell_x], dy[cell_y][:, None]
+    row_rest = row_dy - ly[:, None]
+    row_cell = (cell_y * len(dx))[:, None]
+    lower_cells = len(dy) * len(dx)  # lower-triangle cells follow the upper ones
+    lx_f, ly_f = lx.astype(np.float64), ly.astype(np.float64)[:, None]
+    planes = np.empty((2, gray.height, gray.width))
+    for y0, y1 in _bands(gray.height, gray.width):
+        lower = lx * row_dy[y0:y1] > col_dx * row_rest[y0:y1]
+        cell = lower * lower_cells
+        cell += row_cell[y0:y1]
+        cell += cell_x
+        nx, ny, nz = (a.take(cell) * lx_f + b.take(cell) * ly_f[y0:y1] + c.take(cell)
+                      for a, b, c in table)
+        nn = _norm(nx, ny, nz)
+        if not nn.all():
+            y, x = np.argwhere(nn == 0.0)[0]
+            raise DegenerateInterpolantError(
+                f"zero-length interpolated normal at ({x}, {y0 + y})")
+        _clamped_cosines(nx, ny, nz, nn, p.light_dir, planes[0, y0:y1])
+        _clamped_cosines(nx, ny, nz, nn, p.halfway, planes[1, y0:y1])
+    return planes[0], planes[1]
 
 
 def shade_image_tiled(img: RgbImage, p: PhongParams, tile: int) -> RgbImage:
@@ -349,8 +422,8 @@ def shade_image_tiled(img: RgbImage, p: PhongParams, tile: int) -> RgbImage:
     lattice cell is split into two triangles carrying affine interpolants in
     local coordinates, so lattice points reproduce the exact per-pixel
     normals. Every pixel's cosines equal ``tile_ndoth`` on its triangle's
-    ``TileInterpolant`` to the bit, computed over whole arrays. Output uses
-    the same composition as shade_image.
+    ``TileInterpolant`` to the bit, computed over whole rows, one band of
+    rows at a time. Output uses the same composition as shade_image.
     """
     if tile < 2:
         raise ValueError("tile size must be at least 2")

@@ -411,3 +411,25 @@ class TestOptionValues:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             fv = extract_features(image, phong=p, opts=o)
         assert all(math.isfinite(v) for v in fv.values)
+
+
+class TestIntegerOptions:
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"levels": 2.5}, "levels"),
+        ({"levels": 8.0}, "levels"),
+        ({"levels": "8"}, "levels"),
+        ({"levels": math.nan}, "levels"),
+        ({"offset": (1.5, 0)}, "offset"),
+        ({"offset": (1.0, 0)}, "offset"),
+        ({"offset": (math.nan, 0)}, "offset"),
+        ({"offset": (0, math.inf)}, "offset"),
+        ({"offset": 1}, "offset"),
+    ])
+    def test_rejects_non_integer_naming_the_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be a"):
+            ExtractionOptions(**kwargs)
+
+    def test_integer_types_are_stored_as_int(self):
+        opts = ExtractionOptions(levels=np.int64(4), offset=(np.int32(2), np.uint8(1)))
+        assert (opts.levels, opts.offset) == (4, (2, 1))
+        assert all(type(v) is int for v in (opts.levels, *opts.offset))

@@ -276,6 +276,11 @@ class TestPersistence:
             save_index(hand_made_index([_VALID_ROW], phong), tmp_path / "ix.json")
         assert list(tmp_path.iterdir()) == []
 
+    def test_fractional_offset_rejected(self, tmp_path, rng):
+        doc = self._saved_doc(tmp_path, rng)
+        doc["extraction_opts"]["offset"] = [1.5, 0]
+        self._expect_load_error(tmp_path, doc, "offset must be a pair of integers")
+
     def test_invalid_phong_rejected(self, tmp_path, rng):
         make_corpus(tmp_path / "c", rng, {"a": 2})
         save_index(build_index(tmp_path / "c", phong=PhongParams()), tmp_path / "ix.json")

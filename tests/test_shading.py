@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from shadesearch import shading
 from shadesearch.image import GrayImage, RgbImage, to_grayscale
 from shadesearch.shading import (
+    DEFAULT_VIEW_DIR,
     DegenerateInterpolantError,
     NormalField,
     PhongParams,
@@ -25,16 +26,25 @@ from conftest import gray_images, random_rgb, rgb_images
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def exact_cosines_oracle(img: RgbImage, p: PhongParams) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped N.L and N.H planes, max(n0*v0 + n1*v1 + n2*v2, 0.0) per pixel."""
+    normals = height_field_normals(to_grayscale(img), p.height_scale).normals
+    planes = np.empty((2, img.height, img.width))
+    for y in range(img.height):
+        for x in range(img.width):
+            n = normals[y, x]
+            for plane, v in zip(planes, (p.light_dir, p.halfway)):
+                plane[y, x] = max(n[0] * v[0] + n[1] * v[1] + n[2] * v[2], 0.0)
+    return planes[0], planes[1]
+
+
 def shaded_pixel_oracle(img: RgbImage, p: PhongParams) -> np.ndarray:
     """Scalar per-pixel composition of the illumination formula."""
-    field = height_field_normals(to_grayscale(img), p.height_scale)
-    light, half = p.light_dir, p.halfway
+    n_dot_l, n_dot_h = exact_cosines_oracle(img, p)
     out = np.zeros_like(img.pixels)
     for y in range(img.height):
         for x in range(img.width):
-            n = field.normals[y, x]
-            ndl = max(n[0] * light[0] + n[1] * light[1] + n[2] * light[2], 0.0)
-            ndh = max(n[0] * half[0] + n[1] * half[1] + n[2] * half[2], 0.0)
+            ndl, ndh = n_dot_l[y, x], n_dot_h[y, x]
             for c in range(3):
                 value = (
                     p.ia * p.ka * img.pixels[y, x, c]
@@ -43,6 +53,52 @@ def shaded_pixel_oracle(img: RgbImage, p: PhongParams) -> np.ndarray:
                 )
                 out[y, x, c] = min(255, max(0, math.floor(value + 0.5)))
     return out
+
+
+def reference_compose(pixels: np.ndarray, n_dot_l: np.ndarray, n_dot_h: np.ndarray,
+                      p: PhongParams) -> np.ndarray:
+    """The whole-array composition as it was before it worked in bands:
+    floor(x + 0.5), clipped to [0, 255] at both ends, then cast."""
+    rgb = pixels.astype(np.float64)
+    shaded = p.ia * p.ka * rgb
+    rgb *= (p.il * p.kd * n_dot_l)[..., None]
+    shaded += rgb
+    shaded += (255.0 * p.il * p.ks * n_dot_h**p.ns)[..., None]
+    shaded += 0.5
+    np.floor(shaded, out=shaded)
+    np.clip(shaded, 0.0, 255.0, out=shaded)
+    return shaded.astype(np.uint8)
+
+
+# Pixels per band: one row per band, a few rows or a ragged last band, and the
+# default (one band for every image the properties draw).
+BAND_SIZES = [1, 7, shading._BAND_PIXELS]
+
+
+def unit_vectors(min_z: float = -1.0):
+    return (st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(min_z, 1.0))
+            .filter(lambda v: math.sqrt(sum(c * c for c in v)) > 0.1).map(unit))
+
+
+@st.composite
+def phong_params(draw, max_ks: float = 2.0) -> PhongParams:
+    light, view = draw(unit_vectors()), draw(st.just(DEFAULT_VIEW_DIR) | unit_vectors(0.1))
+    assume(math.dist(light, tuple(-c for c in view)) > 1e-3)  # a halfway vector exists
+    return PhongParams(ka=draw(st.floats(0.0, 2.0)), kd=draw(st.floats(0.0, 2.0)),
+                       ks=draw(st.floats(0.0, max_ks)), ia=draw(st.floats(0.0, 2.0)),
+                       il=draw(st.floats(0.0, 2.0)), ns=draw(st.floats(1.0, 64.0)),
+                       light_dir=light, view_dir=view,
+                       height_scale=draw(st.floats(0.01, 1000.0)))
+
+
+def recorded_compose(seen: list):
+    """_compose_shaded that also records the cosine planes it is given."""
+    compose = shading._compose_shaded
+
+    def recording(pixels, n_dot_l, n_dot_h, params):
+        seen.append((n_dot_l, n_dot_h))
+        return compose(pixels, n_dot_l, n_dot_h, params)
+    return recording
 
 
 def stacked_normals(dhdx: np.ndarray, dhdy: np.ndarray) -> np.ndarray:
@@ -111,6 +167,23 @@ def tiled_loop_cosines(img: RgbImage, p: PhongParams,
                     n_dot_h[y, x] = max(tile_ndoth(t_h, lx, ly), 0.0)
                     n_dot_l[y, x] = max(tile_ndoth(t_l, lx, ly), 0.0)
     return n_dot_l, n_dot_h
+
+
+def check_tiled_equals_loop(img: RgbImage, tile: int, ns: float, light, height_scale: float):
+    """shade_image_tiled's cosines equal tiled_loop_cosines to the bit, and it
+    never calls the scalar tile_ndoth."""
+    assume(math.sqrt(sum(c * c for c in light)) > 0.1)
+    assume(unit(light)[2] > -0.99)  # a light facing the view has no halfway vector
+    p = PhongParams(ns=ns, light_dir=unit(light), height_scale=height_scale)
+    expected = tiled_loop_cosines(img, p, tile)
+    seen = []
+    oracle_called = AssertionError("shade_image_tiled called tile_ndoth")
+    with mock.patch.object(shading, "tile_ndoth", side_effect=oracle_called), \
+            mock.patch.object(shading, "_compose_shaded", recorded_compose(seen)):
+        out = shade_image_tiled(img, p, tile)
+    assert out == shading._compose_shaded(img.pixels, *expected, p)
+    # The cosines themselves match to the bit, signed zeros included.
+    assert [c.tobytes() for c in seen[0]] == [c.tobytes() for c in expected]
 
 
 class TestPhongParams:
@@ -279,6 +352,60 @@ class TestShadeImage:
         bound = np.floor((p.ka * p.ia + p.kd * p.il) * img.pixels.astype(np.float64) + 0.5)
         assert np.all(shade_image(img, p).pixels <= bound)
 
+    @pytest.mark.parametrize("band", BAND_SIZES)
+    @settings(deadline=None, max_examples=40)
+    @given(img=rgb_images(max_side=40), p=phong_params())
+    # Flat normals under a light with z = -0.0: every product is -0.0, so the
+    # clamped N.L is -0.0 and must stay so.
+    @example(img=RgbImage(np.full((3, 9, 3), 77, dtype=np.uint8)),
+             p=PhongParams(light_dir=(1.0, 0.0, -0.0)))
+    def test_cosines_and_pixels_equal_scalar_oracle(self, band, img, p):
+        seen = []
+        no_normals = AssertionError("shade_image built a normal array")
+        with mock.patch.object(shading, "_BAND_PIXELS", band), \
+                mock.patch.object(shading, "_normalized", side_effect=no_normals), \
+                mock.patch.object(shading, "_compose_shaded", recorded_compose(seen)):
+            out = shade_image(img, p)
+        expected = exact_cosines_oracle(img, p)
+        # Byte for byte, so signed zeros count too.
+        assert [c.tobytes() for c in seen[0]] == [c.tobytes() for c in expected]
+        assert np.array_equal(out.pixels, shaded_pixel_oracle(img, p))
+
+
+class TestComposeShaded:
+    @pytest.mark.parametrize("band", BAND_SIZES)
+    @settings(deadline=None)
+    @given(img=rgb_images(max_side=40), p=phong_params(max_ks=50.0),
+           seed=st.integers(0, 2**32 - 1))
+    # Highlights far past white: most pixels saturate at 255.
+    @example(img=RgbImage(np.full((5, 4, 3), 200, dtype=np.uint8)),
+             p=PhongParams(ks=40.0, ns=1.0), seed=3)
+    def test_equals_floor_and_clip(self, band, img, p, seed):
+        rng = np.random.default_rng(seed)
+        planes = rng.random((2, img.height, img.width))
+        # The edge values of a clamped cosine: zeros of both signs, one, and
+        # the ULP above one that an exact cosine can round to.
+        special = np.array([0.0, -0.0, 1.0, math.nextafter(1.0, 2.0)])
+        mask = rng.random(planes.shape) < 0.25
+        planes[mask] = rng.choice(special, int(mask.sum()))
+        with mock.patch.object(shading, "_BAND_PIXELS", band):
+            out = shading._compose_shaded(img.pixels, planes[0], planes[1], p)
+        assert out.pixels.tobytes() == reference_compose(img.pixels, *planes, p).tobytes()
+
+
+class TestBands:
+    @pytest.mark.parametrize("height, width, band", [
+        (1, 1, 1), (5, 3, 1), (5, 3, 7), (64, 512, 1 << 15), (65, 512, 1 << 15),
+        (3, 70000, 1 << 15), (40, 40, 1 << 15),
+    ])
+    def test_bands_cover_the_image_in_order(self, height, width, band):
+        with mock.patch.object(shading, "_BAND_PIXELS", band):
+            bands = shading._bands(height, width)
+        assert [y for y0, y1 in bands for y in range(y0, y1)] == list(range(height))
+        rows = max(1, band // width)
+        assert all(y1 - y0 == rows for y0, y1 in bands[:-1])
+        assert 1 <= bands[-1][1] - bands[-1][0] <= rows
+
 
 class TestTileNdoth:
     def test_parallel_constants(self):
@@ -389,24 +516,20 @@ class TestShadeImageTiled:
              tile=4, ns=10.0, light=(-0.007843016639498048, -0.0, 0.999969243072002),
              height_scale=1.0)
     def test_equals_per_pixel_loop(self, img, tile, ns, light, height_scale):
-        assume(math.sqrt(sum(c * c for c in light)) > 0.1)
-        assume(unit(light)[2] > -0.99)  # a light facing the view has no halfway vector
-        p = PhongParams(ns=ns, light_dir=unit(light), height_scale=height_scale)
-        expected = tiled_loop_cosines(img, p, tile)
-        compose = shading._compose_shaded
-        seen = []
+        check_tiled_equals_loop(img, tile, ns, light, height_scale)
 
-        def recording_compose(pixels, n_dot_l, n_dot_h, params):
-            seen.append((n_dot_l, n_dot_h))
-            return compose(pixels, n_dot_l, n_dot_h, params)
-
-        oracle_called = AssertionError("shade_image_tiled called tile_ndoth")
-        with mock.patch.object(shading, "tile_ndoth", side_effect=oracle_called), \
-                mock.patch.object(shading, "_compose_shaded", recording_compose):
-            out = shade_image_tiled(img, p, tile)
-        assert out == compose(img.pixels, *expected, p)
-        # The cosines themselves match to the bit, signed zeros included.
-        assert [c.tobytes() for c in seen[0]] == [c.tobytes() for c in expected]
+    @pytest.mark.parametrize("band", [1, 7])
+    @settings(deadline=None, max_examples=50)
+    @given(
+        img=rgb_images(max_side=40),
+        tile=st.integers(2, 48),
+        ns=st.floats(1.0, 40.0),
+        light=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-0.9, 1.0)),
+        height_scale=st.floats(0.01, 1000.0),
+    )
+    def test_equals_per_pixel_loop_in_bands(self, band, img, tile, ns, light, height_scale):
+        with mock.patch.object(shading, "_BAND_PIXELS", band):
+            check_tiled_equals_loop(img, tile, ns, light, height_scale)
 
     def test_vanishing_interpolated_normal_is_reported(self):
         # Opposed corner normals cancel halfway along a tile edge. Height-field
@@ -419,6 +542,23 @@ class TestShadeImageTiled:
         img = RgbImage(np.zeros((3, 3, 3), dtype=np.uint8))
         with mock.patch.object(shading, "_lattice_normals", opposed):
             with pytest.raises(DegenerateInterpolantError, match=r"\(1, 0\)"):
+                shade_image_tiled(img, PhongParams(), 2)
+
+    @pytest.mark.parametrize("band", [6, 7, shading._BAND_PIXELS])
+    def test_vanishing_normal_in_a_later_band_names_its_row(self, band):
+        # Lattice rows y = 0, 2 face the viewer; rows y = 4, 5 have opposed
+        # corners, so the first zero normal is at (1, 4). At 3 pixels wide, a
+        # band of 6 or 7 pixels is 2 rows, which puts it in the third band.
+        def opposed_below(gray, height_scale, ys, xs):
+            corners = np.zeros((len(ys), len(xs), 3))
+            corners[ys < 4, :, 2] = 1.0
+            corners[ys >= 4, 0::2, 0], corners[ys >= 4, 1::2, 0] = 1.0, -1.0
+            return corners
+
+        img = RgbImage(np.zeros((6, 3, 3), dtype=np.uint8))
+        with mock.patch.object(shading, "_lattice_normals", opposed_below), \
+                mock.patch.object(shading, "_BAND_PIXELS", band):
+            with pytest.raises(DegenerateInterpolantError, match=r"at \(1, 4\)$"):
                 shade_image_tiled(img, PhongParams(), 2)
 
 
