@@ -24,6 +24,17 @@ DEFAULT_TOP = 12
 DEFAULT_SEED = 42
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type for counts, so a bad value names its flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
 def _add_phong_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ka", type=float, default=_DEFAULTS.ka, help="ambient reflectance")
     parser.add_argument("--kd", type=float, default=_DEFAULTS.kd, help="diffuse reflectance")
@@ -162,7 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_query = sub.add_parser("query", help="rank indexed images against a query image")
     p_query.add_argument("index", help="index file from the index subcommand")
     p_query.add_argument("image", help="query image (PPM)")
-    p_query.add_argument("--top", type=int, default=DEFAULT_TOP, help="results to return")
+    p_query.add_argument(
+        "--top", type=_positive_int, default=DEFAULT_TOP, help="results to return"
+    )
     p_query.add_argument(
         "--format", choices=("table", "csv", "plain"), default="table",
         help="output format",
@@ -172,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="compare shaded vs unshaded retrieval quality")
     p_eval.add_argument("shaded_index", help="index built with --phong")
     p_eval.add_argument("unshaded_index", help="index built without --phong")
-    p_eval.add_argument("--top", type=int, default=DEFAULT_TOP, help="retrieval depth")
+    p_eval.add_argument("--top", type=_positive_int, default=DEFAULT_TOP, help="retrieval depth")
     p_eval.add_argument(
         "--query-mode", choices=("per_category_first", "all_queries_averaged"),
         default="per_category_first", help="which images act as queries",

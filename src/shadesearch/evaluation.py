@@ -160,6 +160,14 @@ def _pct(ratio: float) -> str:
     return f"{ratio * 100:.1f}"
 
 
+def _escape(text: str) -> str:
+    # Imported on first use: importing html loads its entity table, about
+    # 0.5 MB of resident memory for every process that imports this module.
+    from html import escape
+
+    return escape(text)
+
+
 def _html_table(result: EvalResult, title: str) -> str:
     lines = [
         '<table class="scores">',
@@ -169,7 +177,7 @@ def _html_table(result: EvalResult, title: str) -> str:
     ]
     for row in result.rows:
         lines.append(
-            f"<tr><td>{row.category}</td><td>{row.relevant_retrieved}</td>"
+            f"<tr><td>{_escape(row.category)}</td><td>{row.relevant_retrieved}</td>"
             f"<td>{_pct(row.precision)}</td><td>{_pct(row.recall)}</td></tr>"
         )
     lines.append("</table>")
@@ -181,7 +189,7 @@ def _html_bars(shaded: EvalResult, unshaded: EvalResult, metric: str) -> str:
     for s_row, u_row in zip(shaded.rows, unshaded.rows):
         s_val = getattr(s_row, metric)
         u_val = getattr(u_row, metric)
-        lines.append(f'<div class="group"><div class="label">{s_row.category}</div>')
+        lines.append(f'<div class="group"><div class="label">{_escape(s_row.category)}</div>')
         for cls, val in (("shaded", s_val), ("unshaded", u_val)):
             lines.append(
                 f'<div class="bar {cls}" style="width:{val * 100:.1f}%">'

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._files import temporary_beside
+from ._files import holds_bytes, temporary_beside
 from .features import (
     DEFAULT_EXTRACTION,
     FEATURE_COUNT,
@@ -188,13 +188,18 @@ def save_index(ix: Index, path) -> None:
     then replaces ``path``, so a write that fails part-way leaves any index
     already at ``path`` as it was. Replacing, rather than unlinking and
     renaming as other outputs do, keeps a whole index at ``path`` at every
-    moment. Non-finite values raise ValueError: they are not JSON.
+    moment. When ``path`` is already a regular file holding exactly these
+    bytes, nothing is written: the unchanged index keeps its inode and mtime,
+    and the save skips the flush that replacing it costs on ext4. Non-finite
+    values raise ValueError: they are not JSON.
     """
-    text = json.dumps(_index_to_doc(ix), indent=2, allow_nan=False) + "\n"
+    data = (json.dumps(_index_to_doc(ix), indent=2, allow_nan=False) + "\n").encode("ascii")
     path = Path(path)
+    if holds_bytes(path, data):
+        return
     with temporary_beside(path) as tmp:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
 
 

@@ -164,6 +164,25 @@ class TestEvalCommand:
         assert "shading" in capsys.readouterr().err
 
 
+class TestTopFlag:
+    @pytest.mark.parametrize("command", ["query", "eval"])
+    @pytest.mark.parametrize("value, message", [("0", "must be >= 1"), ("-3", "must be >= 1"),
+                                                ("x", "invalid int value: 'x'")])
+    def test_bad_top_names_the_flag(self, workspace, tmp_path, capsys, command, value,
+                                    message):
+        if command == "query":
+            args = [str(workspace["shaded"]), str(workspace["corpus"] / "hue" / "00.ppm")]
+        else:
+            args = [str(workspace["shaded"]), str(workspace["unshaded"]),
+                    "--report-dir", str(tmp_path / "report")]
+        with pytest.raises(SystemExit) as info:
+            main([command, *args, "--top", value])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1].endswith(f"error: argument --top: {message}")
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
 class TestShadeCommand:
     def test_identity_configuration_round_trips(self, tmp_path, capsys, rng):
         img = random_rgb(rng, 9, 6)

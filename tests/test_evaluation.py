@@ -325,6 +325,17 @@ class TestEmitReport:
         for a, b in zip(first, second):
             assert a.read_bytes() == b.read_bytes()
 
+    def test_category_names_are_escaped_in_html_only(self, tmp_path):
+        name = "a<b&c"
+        shaded = EvalResult(k=12, mode="shaded", rows=(make_eval_row(name, 6, 12, 14),))
+        unshaded = EvalResult(k=12, mode="unshaded", rows=(make_eval_row(name, 4, 12, 14),))
+        csv_path, html_path = emit_report(shaded, unshaded, tmp_path)
+        html = html_path.read_text()
+        assert html.count("a&lt;b&amp;c") == 4  # two tables, two bar charts
+        assert "<b&" not in html  # the raw name would open a <b> element
+        with open(csv_path, newline="") as fh:
+            assert {row["category"] for row in csv.DictReader(fh)} == {name}
+
     def test_mismatched_categories_rejected(self, tmp_path):
         shaded, unshaded = table_results()
         clipped = EvalResult(k=12, mode="unshaded", rows=unshaded.rows[:3])

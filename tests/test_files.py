@@ -12,7 +12,7 @@ from shadesearch.evaluation import (
 )
 from shadesearch.image import write_ppm
 
-from conftest import random_rgb
+from conftest import FailingWriter, random_rgb
 
 
 def _report(out_dir):
@@ -39,24 +39,6 @@ WRITERS = {"emit_report": _report, "write_ppm": _image, "generate_synthetic_corp
 
 def _temporary_files(root):
     return [p for p in root.rglob("*") if p.name.endswith(".tmp")]
-
-
-class FailingWriter:
-    """A file whose first write stores half its data and then fails."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, data):
-        self.fh.write(data[: len(data) // 2])
-        self.fh.flush()
-        raise OSError("disk full")
 
 
 @pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS)

@@ -2,7 +2,9 @@ import base64
 import itertools
 import json
 import math
+import os
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from shadesearch.indexing import (
 from shadesearch.search import fit_normalizer
 from shadesearch.shading import PhongParams
 
-from conftest import random_rgb
+from conftest import FailingWriter, random_rgb
 
 
 def write_image(path, img: RgbImage) -> None:
@@ -357,6 +359,92 @@ class TestSaveChecks:
             assert ix._raw.tolist() == [list(e.features) for e in ix.entries]
 
 
+def _flip_last_bit(value: float) -> float:
+    return float((np.array([value]).view(np.int64) ^ 1).view(np.float64)[0])
+
+
+class TestUnchangedSave:
+    """A save over a regular file that already holds its bytes writes nothing."""
+
+    ROWS = [_VALID_ROW, _VALID_ROW[:14] + (0.25,)]
+    SAME_LENGTH = [(_flip_last_bit(_VALID_ROW[0]),) + _VALID_ROW[1:], ROWS[1]]
+
+    def _saved(self, path, rows=ROWS):
+        save_index(hand_made_index(rows), path)
+        os.utime(path, ns=(10**9, 10**9))  # a rewrite would carry the current time
+        return path.stat()
+
+    def test_identical_resave_keeps_inode_and_mtime(self, tmp_path):
+        path = tmp_path / "ix.json"
+        before = self._saved(path)
+        data = path.read_bytes()
+        save_index(hand_made_index(self.ROWS), path)
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert path.read_bytes() == data
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("rows, same_length", [(SAME_LENGTH, True), (ROWS[:1], False)],
+                             ids=["same-length", "other-length"])
+    def test_changed_bytes_replace_the_file(self, tmp_path, rows, same_length):
+        path = tmp_path / "ix.json"
+        before = self._saved(path)
+        old = path.read_bytes()
+        ix = hand_made_index(rows)
+        save_index(ix, path)
+        new = path.read_bytes()
+        assert new != old and (len(new) == len(old)) == same_length
+        assert path.stat().st_ino != before.st_ino
+        assert load_index(path) == ix
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_symlink_to_identical_bytes_is_replaced_not_followed(self, tmp_path):
+        dest = tmp_path / "dest.json"
+        before = self._saved(dest)
+        data = dest.read_bytes()
+        link = tmp_path / "ix.json"
+        link.symlink_to(dest)
+        save_index(hand_made_index(self.ROWS), link)
+        assert not link.is_symlink() and link.read_bytes() == data
+        after = dest.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_directory_at_the_target_names_the_target(self, tmp_path):
+        path = tmp_path / "ix.json"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            save_index(hand_made_index(self.ROWS), path)
+        assert info.value.filename == str(path)
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_fifo_at_the_target_is_replaced_without_blocking(self, tmp_path):
+        path = tmp_path / "ix.json"
+        os.mkfifo(path)
+
+        def timed_out(*_):
+            pytest.fail("opening the FIFO blocked")  # not an OSError, which a probe may catch
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(5)
+        try:
+            save_index(hand_made_index(self.ROWS), path)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert path.is_file() and load_index(path) == hand_made_index(self.ROWS)
+
+    def test_failed_write_over_same_length_keeps_the_old_index(self, tmp_path, monkeypatch):
+        path = tmp_path / "ix.json"
+        self._saved(path)
+        old = path.read_bytes()
+        monkeypatch.setattr(indexing, "open",
+                            lambda *a, **kw: FailingWriter(open(*a, **kw)), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_index(hand_made_index(self.SAME_LENGTH), path)
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
+
 def _check_against_scalar_oracle(rows):
     """The whole-matrix check fails on the first row validate_feature_ranges rejects."""
     paths = [f"c/{i}.ppm" for i in range(len(rows))]
@@ -410,6 +498,17 @@ class TestRoundTripProperty:
                           (loaded.normalizer.mins + loaded.normalizer.maxs,
                            ix.normalizer.mins + ix.normalizer.maxs)):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @given(rows=st.lists(valid_rows, min_size=1, max_size=8),
+           phong=st.sampled_from([None, PhongParams()]))
+    def test_saving_twice_to_one_path_keeps_the_index(self, scratch, rows, phong):
+        ix = hand_made_index(rows, phong)
+        path = scratch("twice")
+        save_index(ix, path)
+        first = path.read_bytes()
+        save_index(ix, path)
+        assert path.read_bytes() == first
+        assert load_index(path) == ix
 
 
 _BASE_ROWS = [_VALID_ROW, (0.0,) * 11 + (1.0, 1.0, 0.0, 0.0), (255.0, 255.0, 127.5) * 3
