@@ -50,7 +50,7 @@ def main() -> int:
         index = build_index(corpus, phong=phong)
         save_index(index, args.workdir / f"{mode}.json")
         indices[mode] = index
-        print(f"{mode} index: {len(index.entries)} images ({time.perf_counter() - t0:.2f}s)")
+        print(f"{mode} index: {len(index.paths)} images ({time.perf_counter() - t0:.2f}s)")
 
     results = {
         mode: run_experiment(index, k=args.top, query_mode=args.query_mode)

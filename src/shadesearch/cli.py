@@ -24,15 +24,19 @@ DEFAULT_TOP = 12
 DEFAULT_SEED = 42
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type for counts, so a bad value names its flag."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _int_at_least(lo: int):
+    """An argparse type for an integer of at least lo, so a bad value names its flag."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}")
+        return value
+
+    return parse
 
 
 def _add_phong_flags(parser: argparse.ArgumentParser) -> None:
@@ -84,7 +88,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
     index = build_index(args.root, phong=phong, opts=opts)
     save_index(index, args.out)
     mode = "shaded" if phong is not None else "unshaded"
-    print(f"indexed {len(index.entries)} images ({mode}) -> {args.out}")
+    print(f"indexed {len(index.paths)} images ({mode}) -> {args.out}")
     return 0
 
 
@@ -119,9 +123,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.shaded_index} was built without shading")
     if unshaded_index.phong is not None:
         raise ValueError(f"{args.unshaded_index} was built with shading")
-    shaded_paths = [e.path for e in shaded_index.entries]
-    unshaded_paths = [e.path for e in unshaded_index.entries]
-    if shaded_paths != unshaded_paths:
+    if shaded_index.paths != unshaded_index.paths:
         raise ValueError("indices cover different corpora; rebuild them over the same tree")
     shaded = run_experiment(shaded_index, k=args.top, query_mode=args.query_mode)
     unshaded = run_experiment(unshaded_index, k=args.top, query_mode=args.query_mode)
@@ -174,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("index", help="index file from the index subcommand")
     p_query.add_argument("image", help="query image (PPM)")
     p_query.add_argument(
-        "--top", type=_positive_int, default=DEFAULT_TOP, help="results to return"
+        "--top", type=_int_at_least(1), default=DEFAULT_TOP, help="results to return"
     )
     p_query.add_argument(
         "--format", choices=("table", "csv", "plain"), default="table",
@@ -185,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="compare shaded vs unshaded retrieval quality")
     p_eval.add_argument("shaded_index", help="index built with --phong")
     p_eval.add_argument("unshaded_index", help="index built without --phong")
-    p_eval.add_argument("--top", type=_positive_int, default=DEFAULT_TOP, help="retrieval depth")
+    p_eval.add_argument("--top", type=_int_at_least(1), default=DEFAULT_TOP,
+                        help="retrieval depth")
     p_eval.add_argument(
         "--query-mode", choices=("per_category_first", "all_queries_averaged"),
         default="per_category_first", help="which images act as queries",
@@ -197,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_shade.add_argument("image", help="input image (PPM)")
     p_shade.add_argument("--out", required=True, help="output image (PPM)")
     p_shade.add_argument(
-        "--tiled", type=int, default=None, metavar="TILE",
+        "--tiled", type=_int_at_least(2), default=None, metavar="TILE",
         help="use tile-interpolated normals with this lattice spacing (>= 2)",
     )
     _add_phong_flags(p_shade)
@@ -205,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate the deterministic synthetic corpus")
     p_synth.add_argument("out_dir", help="directory to create the corpus in")
-    p_synth.add_argument("--seed", type=int, default=DEFAULT_SEED, help="generator seed")
+    p_synth.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED,
+                         help="generator seed")
     p_synth.set_defaults(func=_cmd_synth)
     return parser
 

@@ -119,22 +119,21 @@ def run_experiment(index: Index, k: int,
         raise ValueError("k must be >= 1")
     if query_mode not in QUERY_MODES:
         raise ValueError(f"unknown query_mode {query_mode!r}, expected one of {QUERY_MODES}")
-    entries = index.entries
-    retrieved_per_query = min(k, len(entries) - 1)
+    retrieved_per_query = min(k, len(index.paths) - 1)
     if retrieved_per_query < 1:
         raise ValueError("corpus too small: nothing to retrieve once the query is excluded")
-    categories = sorted({e.category for e in entries})
+    categories = sorted(set(index.categories))
     code_of = {category: code for code, category in enumerate(categories)}
-    codes = np.array([code_of[e.category] for e in entries])
+    codes = np.array([code_of[category] for category in index.categories])
     members = np.bincount(codes)
     for category, count in zip(categories, members):
         if count == 1:
             raise ValueError(f"category {category!r} has a single image; recall is undefined")
 
-    if query_mode == "per_category_first":  # entries are sorted by path
+    if query_mode == "per_category_first":  # the index's paths are sorted
         queries = np.unique(codes, return_index=True)[1]
     else:
-        queries = np.arange(len(entries))
+        queries = np.arange(len(codes))
     hits = _relevant_retrieved(index.normalized, codes, queries, retrieved_per_query)
     relevant = np.zeros(len(categories), dtype=np.int64)
     np.add.at(relevant, codes[queries], hits)

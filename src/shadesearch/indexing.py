@@ -1,19 +1,19 @@
 """Corpus scanning and the persisted feature database.
 
-An index is a single JSON document (format version 2): the format version,
-the shading parameters used (or null), the extraction options, the sorted
-corpus-relative image paths, and ``features``, the raw (N, FEATURE_COUNT)
-feature matrix in path order as little-endian float64 bytes, base64-encoded
-into one string. Nothing derivable is stored: an entry's category is the
-first component of its path, and the normalizer is the per-slot extrema of
-the matrix. Rebuilding an unchanged tree is byte-identical. Loading checks
-the whole matrix at once rather than entry by entry.
+An ``Index`` holds columns: the sorted corpus-relative image paths and the raw
+(N, FEATURE_COUNT) feature matrix in path order. Categories (each path's first
+component), the normalizer (the matrix's per-slot extrema), the normalized
+matrix and per-row ``IndexEntry`` views are derived on first use. On disk it is
+one JSON document (format version 2): the version, the shading parameters (or
+null), the extraction options, the paths, and the matrix as little-endian
+float64 bytes in one base64 string. Nothing derivable is stored. Rebuilding an
+unchanged tree is byte-identical. Loading checks the matrix as a whole.
 """
 
 import base64
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -28,7 +28,7 @@ from .features import (
     extract_features,
 )
 from .image import decode_ppm
-from .search import Normalizer, normalize_rows
+from .search import Normalizer, fit_normalizer, normalize_rows
 from .shading import PhongParams
 
 INDEX_FORMAT_VERSION = 2
@@ -52,7 +52,7 @@ class EmptyCorpusError(ValueError):
 
 
 class IndexFormatError(ValueError):
-    """A persisted index failed version, schema, or invariant checks."""
+    """An index, persisted or about to be, failed version, schema, or invariant checks."""
 
 
 @dataclass(frozen=True)
@@ -62,45 +62,56 @@ class IndexEntry:
     features: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Index:
-    version: int
+    """Sorted paths and the read-only (N, FEATURE_COUNT) float64 raw matrix, row i for paths[i].
+
+    ``categories``, ``normalizer``, ``normalized`` and ``entries`` are derived
+    on first use and cached. Equality compares options, paths and matrix values.
+    """
+
     phong: PhongParams | None
     opts: ExtractionOptions
-    normalizer: Normalizer
-    entries: tuple[IndexEntry, ...]
-    # The raw feature matrix that build_index and load_index already hold;
-    # rebuilt from entries when an Index is made by hand.
-    _raw: np.ndarray | None = field(default=None, repr=False, compare=False)
+    paths: tuple[str, ...]
+    features: np.ndarray
 
-    def _features(self) -> np.ndarray:
-        """Raw (N, FEATURE_COUNT) float64 feature matrix in entry order."""
-        if self._raw is not None:
-            return self._raw
-        raw = np.array([e.features for e in self.entries], dtype=np.float64)
-        return raw.reshape(len(self.entries), FEATURE_COUNT)
+    def __post_init__(self):
+        # A view, so marking it read-only leaves a caller's own array writable.
+        features = np.asarray(self.features, dtype=np.float64).view()
+        if features.shape != (len(self.paths), FEATURE_COUNT):
+            raise ValueError(f"features must have shape {(len(self.paths), FEATURE_COUNT)}, "
+                             f"one row per path, not {features.shape}")
+        features.flags.writeable = False
+        object.__setattr__(self, "paths", tuple(self.paths))
+        object.__setattr__(self, "features", features)
+
+    def __eq__(self, other):
+        return (isinstance(other, Index) and self.phong == other.phong
+                and self.opts == other.opts and self.paths == other.paths
+                and np.array_equal(self.features, other.features))
+
+    @cached_property
+    def categories(self) -> tuple[str, ...]:
+        """The first component of each path, in path order."""
+        return tuple(rel.partition("/")[0] for rel in self.paths)
+
+    @cached_property
+    def normalizer(self) -> Normalizer:
+        """The per-slot extrema of the feature matrix."""
+        return fit_normalizer(self.features)
 
     @cached_property
     def normalized(self) -> np.ndarray:
-        """Read-only (N, FEATURE_COUNT) matrix of normalized features in entry order.
-
-        Built on first use and kept for the life of the index; row i is
-        ``normalize(entries[i].features, normalizer)`` to the bit.
-        """
-        matrix = np.ascontiguousarray(normalize_rows(self._features(), self.normalizer))
+        """Read-only matrix whose row i is ``normalize(features[i], normalizer)`` to the bit."""
+        matrix = np.ascontiguousarray(normalize_rows(self.features, self.normalizer))
         matrix.flags.writeable = False
         return matrix
 
-
-def _category(path: str) -> str | None:
-    """The first component of a corpus-relative path, or None for a root-level one."""
-    head, sep, _ = path.partition("/")
-    return head if sep and head else None
-
-
-def _fit(raw: np.ndarray) -> Normalizer:
-    """The normalizer ``fit_normalizer`` fits, taken over the whole matrix at once."""
-    return Normalizer(mins=tuple(raw.min(axis=0)), maxs=tuple(raw.max(axis=0)))
+    @cached_property
+    def entries(self) -> tuple[IndexEntry, ...]:
+        """One IndexEntry per path, its features a tuple of Python floats."""
+        return tuple(IndexEntry(rel, category, tuple(row)) for rel, category, row
+                     in zip(self.paths, self.categories, self.features.tolist()))
 
 
 def scan_corpus(root) -> list[tuple[str, str]]:
@@ -128,44 +139,32 @@ def scan_corpus(root) -> list[tuple[str, str]]:
 
 def build_index(root, phong: PhongParams | None = None,
                 opts: ExtractionOptions = DEFAULT_EXTRACTION) -> Index:
-    """Extract features for every image under root and fit the normalizer.
+    """Extract the features of every image under root, one matrix row per sorted path.
 
     Fails fast on the first file that cannot be decoded or described: the
     ValueError keeps its class and its message starts with the file's path,
     so evaluation denominators are never silently wrong.
     """
     root = Path(root)
-    entries = []
-    for rel, category in scan_corpus(root):
+    paths = [rel for rel, _ in scan_corpus(root)]
+    rows = []
+    for rel in paths:
         try:
             fv = extract_features(decode_ppm((root / rel).read_bytes()), phong=phong, opts=opts)
         except ValueError as exc:
             raise type(exc)(f"{rel}: {exc}") from exc
-        entries.append(IndexEntry(path=rel, category=category, features=fv.values))
-    raw = np.array([e.features for e in entries], dtype=np.float64)
-    raw.flags.writeable = False
-    return Index(
-        version=INDEX_FORMAT_VERSION,
-        phong=phong,
-        opts=opts,
-        normalizer=_fit(raw),
-        entries=tuple(entries),
-        _raw=raw,
-    )
+        rows.append(fv.values)
+    return Index(phong=phong, opts=opts, paths=paths, features=rows)
 
 
 def _index_to_doc(ix: Index) -> dict:
-    for e in ix.entries:
-        if _category(e.path) != e.category:
-            raise ValueError(f"{e.path}: category {e.category!r} is not the first "
-                             "component of the path")
     phong = None
     if ix.phong is not None:
         phong = {}
         for name in _PHONG_FIELDS:
             value = getattr(ix.phong, name)
             phong[name] = list(value) if isinstance(value, tuple) else value
-    block = np.ascontiguousarray(ix._features(), dtype=_FEATURE_DTYPE).tobytes()
+    block = np.ascontiguousarray(ix.features, dtype=_FEATURE_DTYPE).tobytes()
     return {
         "version": INDEX_FORMAT_VERSION,
         "phong": phong,
@@ -174,7 +173,7 @@ def _index_to_doc(ix: Index) -> dict:
             "offset": list(ix.opts.offset),
             "edge_threshold": ix.opts.edge_threshold,
         },
-        "paths": [e.path for e in ix.entries],
+        "paths": list(ix.paths),
         "features": base64.b64encode(block).decode("ascii"),
     }
 
@@ -182,17 +181,21 @@ def _index_to_doc(ix: Index) -> dict:
 def save_index(ix: Index, path) -> None:
     """Persist as one deterministic JSON document; features keep every bit.
 
-    Raises ValueError for an entry whose category is not the first component
-    of its path, since a load derives the category from the path. The
-    document is written to a temporary file in the same directory, which
+    The document is written to a temporary file in the same directory, which
     then replaces ``path``, so a write that fails part-way leaves any index
     already at ``path`` as it was. Replacing, rather than unlinking and
     renaming as other outputs do, keeps a whole index at ``path`` at every
     moment. When ``path`` is already a regular file holding exactly these
     bytes, nothing is written: the unchanged index keeps its inode and mtime,
-    and the save skips the flush that replacing it costs on ext4. Non-finite
-    values raise ValueError: they are not JSON.
+    and the save skips the flush that replacing it costs on ext4. An index
+    that ``load_index`` would refuse raises IndexFormatError, a ValueError,
+    naming the bad path or feature slot, and nothing is written: no paths,
+    paths unsorted, duplicated or outside any category, or a feature value
+    that is non-finite or out of its slot's range. Non-finite options raise
+    ValueError: they are not JSON.
     """
+    _check_paths(ix.paths)
+    _check_features(ix.features, ix.paths)
     data = (json.dumps(_index_to_doc(ix), indent=2, allow_nan=False) + "\n").encode("ascii")
     path = Path(path)
     if holds_bytes(path, data):
@@ -241,22 +244,39 @@ def _load_opts(doc) -> ExtractionOptions:
         raise IndexFormatError(f"invalid extraction options: {exc}") from exc
 
 
-def _load_paths(doc) -> tuple[list[str], list[str]]:
-    """The stored paths, checked, and the category of each."""
-    paths = _require(doc, "paths", list, "index")
+def _check_paths(paths) -> None:
+    """Raise IndexFormatError unless paths are strings, sorted, unique and under a category."""
     if not paths:
         raise IndexFormatError("index contains no entries")
     if not all(isinstance(p, str) for p in paths):
         raise IndexFormatError("index.paths must hold only strings")
-    categories = [_category(p) for p in paths]
-    if None in categories:
-        rel = paths[categories.index(None)]
+    # A category is a non-empty first component: a "/" after the first character.
+    rel = next((p for p in paths if p.find("/") < 1), None)
+    if rel is not None:
         raise IndexFormatError(f"path {rel!r} names no category directory")
     for prev, rel in zip(paths, paths[1:]):
         if not prev < rel:
             problem = "duplicate paths" if prev == rel else "paths that are not sorted"
             raise IndexFormatError(f"index contains {problem}: {prev!r}, {rel!r}")
-    return paths, categories
+
+
+def _check_features(raw: np.ndarray, paths) -> None:
+    """Raise IndexFormatError naming the first path and slot out of range or non-finite."""
+    ok = (np.isfinite(raw) & np.where(_STRICT_LOWER, raw > _LOWER, raw >= _LOWER)
+          & (raw <= _UPPER))
+    if not ok.all():
+        row, slot = divmod(int(np.flatnonzero(~ok)[0]), FEATURE_COUNT)
+        value = float(raw[row, slot])
+        problem = "is out of range" if np.isfinite(value) else "is not finite"
+        raise IndexFormatError(f"{paths[row]}: feature {FEATURE_NAMES[slot]} = {value!r} "
+                               f"{problem}")
+
+
+def _load_paths(doc) -> list[str]:
+    """The stored paths, checked."""
+    paths = _require(doc, "paths", list, "index")
+    _check_paths(paths)
+    return paths
 
 
 def _load_features(doc, paths: list[str]) -> np.ndarray:
@@ -273,14 +293,7 @@ def _load_features(doc, paths: list[str]) -> np.ndarray:
             f"{FEATURE_COUNT} float64 feature values for each of the {len(paths)} paths"
         )
     raw = np.frombuffer(data, dtype=_FEATURE_DTYPE).reshape(len(paths), FEATURE_COUNT)
-    ok = (np.isfinite(raw) & np.where(_STRICT_LOWER, raw > _LOWER, raw >= _LOWER)
-          & (raw <= _UPPER))
-    if not ok.all():
-        row, slot = divmod(int(np.flatnonzero(~ok)[0]), FEATURE_COUNT)
-        value = float(raw[row, slot])
-        problem = "is out of range" if np.isfinite(value) else "is not finite"
-        raise IndexFormatError(f"{paths[row]}: feature {FEATURE_NAMES[slot]} = {value!r} "
-                               f"{problem}")
+    _check_features(raw, paths)
     return raw
 
 
@@ -307,12 +320,8 @@ def _load_doc(path) -> Index:
         raise IndexFormatError("index is missing field 'phong'")
     phong = _load_phong(doc["phong"])
     opts = _load_opts(_require(doc, "extraction_opts", dict, "index"))
-    paths, categories = _load_paths(doc)
-    raw = _load_features(doc, paths)
-    entries = tuple(IndexEntry(path=rel, category=category, features=tuple(row))
-                    for rel, category, row in zip(paths, categories, raw.tolist()))
-    return Index(version=version, phong=phong, opts=opts, normalizer=_fit(raw),
-                 entries=entries, _raw=raw)
+    paths = _load_paths(doc)
+    return Index(phong=phong, opts=opts, paths=paths, features=_load_features(doc, paths))
 
 
 def load_index(path) -> Index:

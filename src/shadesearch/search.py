@@ -56,9 +56,11 @@ def euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
     return float(np.sqrt(((av - bv) ** 2).sum()))
 
 
-def fit_normalizer(raw_vectors: Iterable) -> Normalizer:
-    """Per-dimension min and max over a corpus of feature vectors."""
-    matrix = np.array([_values(v) for v in raw_vectors], dtype=np.float64)
+def fit_normalizer(raw_vectors: np.ndarray | Iterable) -> Normalizer:
+    """Per-dimension min and max over an (N, d) matrix or an iterable of feature vectors."""
+    if not isinstance(raw_vectors, np.ndarray):
+        raw_vectors = [_values(v) for v in raw_vectors]
+    matrix = np.asarray(raw_vectors, dtype=np.float64)
     if matrix.size == 0:
         raise ValueError("cannot fit a normalizer on an empty corpus")
     return Normalizer(mins=tuple(matrix.min(axis=0)), maxs=tuple(matrix.max(axis=0)))
@@ -98,12 +100,12 @@ def rank(query: FeatureVector, index: "Index", k: int) -> list[RankedResult]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not index.entries:
+    if not index.paths:
         raise ValueError("cannot rank against an empty index")
     q = normalize(query, index.normalizer)
     dist = np.sqrt(((index.normalized - q) ** 2).sum(axis=-1))
-    entries = index.entries
+    paths, categories = index.paths, index.categories
     return [
-        RankedResult(entries[i].path, entries[i].category, float(dist[i]))
+        RankedResult(paths[i], categories[i], float(dist[i]))
         for i in np.argsort(dist, kind="stable")[:k]
     ]

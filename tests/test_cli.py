@@ -206,9 +206,24 @@ class TestShadeCommand:
     def test_tile_of_one_is_a_parameter_error(self, tmp_path, capsys, rng):
         src = tmp_path / "in.ppm"
         src.write_bytes(encode_ppm(random_rgb(rng, 4, 4)))
-        code = main(["shade", str(src), "--out", str(tmp_path / "o.ppm"), "--tiled", "1"])
-        assert code != 0
+        with pytest.raises(SystemExit) as info:
+            main(["shade", str(src), "--out", str(tmp_path / "o.ppm"), "--tiled", "1"])
+        assert info.value.code == 2
         assert "tile" in capsys.readouterr().err
+
+
+class TestIntFlags:
+    @pytest.mark.parametrize("args, message", [
+        (["shade", "{d}/in.ppm", "--out", "{d}/out.ppm", "--tiled", "1"], "--tiled: must be >= 2"),
+        (["shade", "{d}/in.ppm", "--out", "{d}/out.ppm", "--tiled", "0"], "--tiled: must be >= 2"),
+        (["synth", "{d}/corpus", "--seed", "-1"], "--seed: must be >= 0"),
+    ])
+    def test_bad_value_names_the_flag(self, tmp_path, rng, args, message):
+        (tmp_path / "in.ppm").write_bytes(encode_ppm(random_rgb(rng, 4, 4)))
+        result = _run_cli(*(arg.format(d=tmp_path) for arg in args))
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.splitlines()[-1].endswith(f"error: argument {message}")
+        assert [p.name for p in tmp_path.iterdir()] == ["in.ppm"]
 
 
 class TestSynthCommand:

@@ -24,8 +24,8 @@ from shadesearch.evaluation import (
 )
 from shadesearch.features import FEATURE_COUNT, ExtractionOptions, FeatureVector
 from shadesearch.image import RgbImage, encode_ppm
-from shadesearch.indexing import Index, IndexEntry, build_index
-from shadesearch.search import fit_normalizer, rank
+from shadesearch.indexing import Index, build_index
+from shadesearch.search import rank
 
 # Published per-category relevant-retrieved counts at 12 retrieved out of
 # 14 relevant, with the percentages as printed (rounding varies by row).
@@ -117,13 +117,10 @@ def evaluation_cases(draw):
         f"cat{c}/{i:02d}.ppm": tuple(draw(st.sampled_from(pool)))
         for c, size in enumerate(sizes) for i in range(size)
     }
-    entries = tuple(
-        IndexEntry(path=path, category=path.split("/")[0], features=row)
-        for path, row in sorted(rows.items())
-    )
-    index = Index(version=1, phong=None, opts=ExtractionOptions(),
-                  normalizer=fit_normalizer([e.features for e in entries]), entries=entries)
-    return index, draw(st.integers(1, len(entries) + 2))
+    paths = sorted(rows)
+    index = Index(phong=None, opts=ExtractionOptions(), paths=paths,
+                  features=[rows[path] for path in paths])
+    return index, draw(st.integers(1, len(paths) + 2))
 
 
 class TestPrecisionRecall:

@@ -16,20 +16,21 @@ from shadesearch.features import (
     FEATURE_NAMES,
     EmptyPairsError,
     ExtractionOptions,
+    FeatureVector,
     validate_feature_ranges,
 )
 from shadesearch.image import PpmDecodeError, RgbImage, encode_ppm
 from shadesearch.indexing import (
     EmptyCorpusError,
     Index,
-    IndexEntry,
     IndexFormatError,
     build_index,
     load_index,
     save_index,
     scan_corpus,
 )
-from shadesearch.search import fit_normalizer
+from shadesearch.evaluation import run_experiment
+from shadesearch.search import rank
 from shadesearch.shading import PhongParams
 
 from conftest import FailingWriter, random_rgb
@@ -56,12 +57,10 @@ def encode_block(values) -> str:
 
 
 def hand_made_index(rows, phong: PhongParams | None = None) -> Index:
-    entries = tuple(IndexEntry(path=f"c{i % 3}/{i:03d}.ppm", category=f"c{i % 3}",
-                               features=tuple(map(float, row)))
-                    for i, row in enumerate(rows))
-    entries = tuple(sorted(entries, key=lambda e: e.path))
-    return Index(version=indexing.INDEX_FORMAT_VERSION, phong=phong, opts=ExtractionOptions(),
-                 normalizer=fit_normalizer([e.features for e in entries]), entries=entries)
+    by_path = sorted((f"c{i % 3}/{i:03d}.ppm", tuple(map(float, row)))
+                     for i, row in enumerate(rows))
+    return Index(phong=phong, opts=ExtractionOptions(), paths=[path for path, _ in by_path],
+                 features=[row for _, row in by_path])
 
 
 class TestScanCorpus:
@@ -340,12 +339,30 @@ def scratch(tmp_path_factory):
 
 
 class TestSaveChecks:
-    @pytest.mark.parametrize("path, category", [("a/x.ppm", "b"), ("x.ppm", "x.ppm")])
-    def test_category_must_be_first_path_component(self, tmp_path, path, category):
-        ix = hand_made_index([_VALID_ROW])
-        bad = Index(version=ix.version, phong=None, opts=ix.opts, normalizer=ix.normalizer,
-                    entries=(IndexEntry(path, category, _VALID_ROW),))
-        with pytest.raises(ValueError, match="not the first component"):
+    @pytest.mark.parametrize("path", ["x.ppm", "/x.ppm"])
+    def test_category_must_be_first_path_component(self, tmp_path, path):
+        bad = Index(phong=None, opts=ExtractionOptions(), paths=[path], features=[_VALID_ROW])
+        with pytest.raises(ValueError, match=f"path {re.escape(repr(path))} names no category"):
+            save_index(bad, tmp_path / "ix.json")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("paths, rows, message", [
+        pytest.param(["a/x.ppm", "b/y.ppm"],
+                     [_VALID_ROW, _VALID_ROW[:3] + (math.nan,) + _VALID_ROW[4:]],
+                     f"b/y.ppm: feature {FEATURE_NAMES[3]} = nan is not finite", id="nan"),
+        pytest.param(["a/x.ppm"], [(256.0,) + _VALID_ROW[1:]],
+                     f"a/x.ppm: feature {FEATURE_NAMES[0]} = 256.0 is out of range",
+                     id="out_of_range"),
+        pytest.param(["b/y.ppm", "a/x.ppm"], [_VALID_ROW] * 2,
+                     "index contains paths that are not sorted: 'b/y.ppm', 'a/x.ppm'",
+                     id="unsorted"),
+        pytest.param(["a/x.ppm", "a/x.ppm"], [_VALID_ROW] * 2,
+                     "index contains duplicate paths: 'a/x.ppm', 'a/x.ppm'", id="duplicate"),
+        pytest.param([], np.empty((0, FEATURE_COUNT)), "index contains no entries", id="empty"),
+    ])
+    def test_what_a_load_refuses_is_not_saved(self, tmp_path, paths, rows, message):
+        bad = Index(phong=None, opts=ExtractionOptions(), paths=paths, features=rows)
+        with pytest.raises(ValueError, match=re.escape(message)):
             save_index(bad, tmp_path / "ix.json")
         assert list(tmp_path.iterdir()) == []
 
@@ -355,8 +372,31 @@ class TestSaveChecks:
         save_index(built, tmp_path / "ix.json")
         loaded = load_index(tmp_path / "ix.json")
         for ix in (built, loaded):
-            assert not ix._raw.flags.writeable
-            assert ix._raw.tolist() == [list(e.features) for e in ix.entries]
+            assert not ix.features.flags.writeable
+            assert ix.features.tolist() == [list(e.features) for e in ix.entries]
+
+
+class TestColumns:
+    def test_entries_stay_unbuilt(self, tmp_path, rng):
+        make_corpus(tmp_path / "c", rng, {"a": 2, "b": 2})
+        built = build_index(tmp_path / "c")
+        save_index(built, tmp_path / "ix.json")
+        loaded = load_index(tmp_path / "ix.json")
+        for ix in (built, loaded):
+            rank(FeatureVector(tuple(ix.features[0].tolist())), ix, k=2)
+            run_experiment(ix, k=2, query_mode="all_queries_averaged")
+            save_index(ix, tmp_path / "again.json")
+            assert "entries" not in vars(ix)
+
+    def test_features_become_a_read_only_float64_matrix(self):
+        mine = np.array([[1] * FEATURE_COUNT, [2] * FEATURE_COUNT])
+        ix = Index(phong=None, opts=ExtractionOptions(), paths=["a/x.ppm", "b/y.ppm"],
+                   features=mine)
+        assert ix.features.dtype == np.float64 and not ix.features.flags.writeable
+        assert mine.flags.writeable and ix.paths == ("a/x.ppm", "b/y.ppm")
+        assert ix.categories == ("a", "b")
+        with pytest.raises(ValueError, match="shape"):
+            Index(phong=None, opts=ExtractionOptions(), paths=["a/x.ppm"], features=mine)
 
 
 def _flip_last_bit(value: float) -> float:
@@ -493,7 +533,7 @@ class TestRoundTripProperty:
         save_index(ix, path)
         loaded = load_index(path)
         assert loaded == ix
-        for got, want in ((loaded._features(), ix._features()),
+        for got, want in ((loaded.features, ix.features),
                           (loaded.normalized, ix.normalized),
                           (loaded.normalizer.mins + loaded.normalizer.maxs,
                            ix.normalizer.mins + ix.normalizer.maxs)):

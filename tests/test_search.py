@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shadesearch.features import FEATURE_COUNT, ExtractionOptions, FeatureVector
-from shadesearch.indexing import Index, IndexEntry
+from shadesearch.indexing import Index
 from shadesearch.search import (
     Normalizer,
     euclidean_distance,
@@ -19,16 +19,12 @@ vectors_15 = st.lists(coords, min_size=15, max_size=15)
 
 
 def small_index(feature_rows: dict[str, tuple]) -> Index:
-    entries = tuple(
-        IndexEntry(path=path, category=path.split("/")[0], features=tuple(map(float, row)))
-        for path, row in sorted(feature_rows.items())
-    )
+    paths = sorted(feature_rows)
     return Index(
-        version=1,
         phong=None,
         opts=ExtractionOptions(),
-        normalizer=fit_normalizer([e.features for e in entries]),
-        entries=entries,
+        paths=paths,
+        features=[tuple(map(float, feature_rows[path])) for path in paths],
     )
 
 
@@ -117,6 +113,15 @@ class TestNormalizer:
         for d in range(15):
             column = [row[d] for row in rows]
             assert n.mins[d] == min(column) and n.maxs[d] == max(column)
+
+    def test_matrix_equals_its_rows_as_tuples(self, rng):
+        rows = rng.uniform(-5, 5, size=(20, 15)) * np.logspace(-300, 300, 15)
+        rows[::2, 3], rows[1::2, 3] = 0.0, -0.0
+        want = fit_normalizer([tuple(row) for row in rows.tolist()])
+        for matrix in (rows, np.asfortranarray(rows)):
+            got = fit_normalizer(matrix)
+            assert (np.array(got.mins + got.maxs).tobytes()
+                    == np.array(want.mins + want.maxs).tobytes())
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -220,9 +225,7 @@ class TestRank:
 
     def test_rejects_empty_index(self):
         index = small_index({"a/x.ppm": pad15(0.0)})
-        empty = Index(
-            version=index.version, phong=None, opts=index.opts,
-            normalizer=index.normalizer, entries=(),
-        )
+        empty = Index(phong=None, opts=index.opts, paths=(),
+                      features=np.empty((0, FEATURE_COUNT)))
         with pytest.raises(ValueError, match="empty"):
             rank(FeatureVector(pad15(0.0)), empty, k=1)
