@@ -9,6 +9,8 @@ copy of one image. Diagnostics go to stderr; data to stdout or files.
 
 import argparse
 import csv
+import dataclasses
+import io
 import sys
 
 from .evaluation import emit_report, generate_synthetic_corpus, run_experiment
@@ -99,20 +101,26 @@ def _cmd_query(args: argparse.Namespace) -> int:
     except ValueError as exc:  # name the image, as build_index does; keep the class
         raise type(exc)(f"{args.image}: {exc}") from exc
     results = rank(query, index, k=args.top)
+    # The whole output is built first and written once: a result that stdout
+    # cannot encode fails the command before any line of it is printed.
+    out = io.StringIO()
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["rank", "path", "category", "distance"])
         for pos, r in enumerate(results, start=1):
             writer.writerow([pos, r.path, r.category, f"{r.distance:.6f}"])
     elif args.format == "plain":
         for pos, r in enumerate(results, start=1):
-            print(f"{pos}\t{r.path}\t{r.category}\t{r.distance:.6f}")
+            print(f"{pos}\t{r.path}\t{r.category}\t{r.distance:.6f}", file=out)
     else:
         path_width = max(len("path"), max(len(r.path) for r in results))
         cat_width = max(len("category"), max(len(r.category) for r in results))
-        print(f"{'rank':>4}  {'path':<{path_width}}  {'category':<{cat_width}}  distance")
+        print(f"{'rank':>4}  {'path':<{path_width}}  {'category':<{cat_width}}  distance",
+              file=out)
         for pos, r in enumerate(results, start=1):
-            print(f"{pos:>4}  {r.path:<{path_width}}  {r.category:<{cat_width}}  {r.distance:.6f}")
+            print(f"{pos:>4}  {r.path:<{path_width}}  {r.category:<{cat_width}}  "
+                  f"{r.distance:.6f}", file=out)
+    sys.stdout.write(out.getvalue())
     return 0
 
 
@@ -125,6 +133,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.unshaded_index} was built with shading")
     if shaded_index.paths != unshaded_index.paths:
         raise ValueError("indices cover different corpora; rebuild them over the same tree")
+    for field in dataclasses.fields(ExtractionOptions):
+        shaded_value = getattr(shaded_index.opts, field.name)
+        unshaded_value = getattr(unshaded_index.opts, field.name)
+        if shaded_value != unshaded_value:
+            raise ValueError(
+                f"{args.shaded_index} and {args.unshaded_index} were built with different "
+                f"extraction options: {field.name} is {shaded_value!r} in the first and "
+                f"{unshaded_value!r} in the second; rebuild them with the same options")
     shaded = run_experiment(shaded_index, k=args.top, query_mode=args.query_mode)
     unshaded = run_experiment(unshaded_index, k=args.top, query_mode=args.query_mode)
     written = emit_report(shaded, unshaded, args.report_dir)

@@ -4,6 +4,17 @@ Slot order is fixed: per-channel mean/median/std for R, G, B (9 values from
 the channel histograms), then entropy/contrast/energy/homogeneity of a
 gray-level co-occurrence matrix, then vertical and horizontal edge densities
 from Sobel responses. Border handling everywhere is edge replication.
+
+One kernel, ``_describe``, computes the descriptor of every image in an
+``(n, h, w, 3)`` uint8 stack of same-shape images at once and returns an
+``(n, FEATURE_COUNT)`` matrix. ``extract_features`` runs it on a stack of
+one, and ``build_index`` on stacks of about ``_BAND_PIXELS`` pixels, so
+small images share each numpy call. Every row equals, to the bit, what the
+per-image functions below give for its image: ``channel_histogram``,
+``channel_stats``, ``quantize_gray``, ``glcm``, ``texture_features``,
+``sobel_gradients`` and ``edge_densities``. Those are the documented
+reference the tests check the kernel against; production code does not
+call them.
 """
 
 import math
@@ -12,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import GrayImage, RgbImage, to_grayscale
-from .shading import PhongParams, shade_image
+from .image import GrayImage, RgbImage, edge_padded, luma
+from .shading import _BAND_PIXELS, PhongParams, shade_image
 
 FEATURE_NAMES = (
     "r_mean", "r_median", "r_std",
@@ -169,16 +180,8 @@ def glcm(gray: GrayImage, levels: int, offset: tuple[int, int]) -> Glcm:
     Raises EmptyPairsError if no in-bounds pair exists.
     """
     q = quantize_gray(gray, levels)
-    h, w = q.shape
-    dx, dy = int(offset[0]), int(offset[1])
-    x0, x1 = max(0, -dx), w - max(0, dx)
-    y0, y1 = max(0, -dy), h - max(0, dy)
-    if x1 <= x0 or y1 <= y0:
-        raise EmptyPairsError(
-            f"offset ({dx}, {dy}) yields no pixel pairs on a {w}x{h} image"
-        )
-    a = q[y0:y1, x0:x1]
-    b = q[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
+    a_window, b_window = _pair_windows(*q.shape, offset)
+    a, b = q[a_window], q[b_window]
     counts = np.bincount((a * levels + b).ravel(), minlength=levels * levels)
     p = counts.reshape(levels, levels).astype(np.float64) / counts.sum()
     return Glcm(levels=levels, p=p)
@@ -213,7 +216,7 @@ def sobel_gradients(gray: GrayImage) -> GradientField:
     [1, 2, 1] and then takes right minus left, Gy smooths rows by [1, 2, 1]
     and then takes top minus bottom. The arithmetic is int64, so it is exact.
     """
-    padded = np.pad(gray.pixels.astype(np.int64), 1, mode="edge")
+    padded = edge_padded(gray.pixels, np.int64)
     cols = padded[:-2] + padded[2:]
     cols += padded[1:-1]
     cols += padded[1:-1]  # [1, 2, 1] down each column, (h, w + 2)
@@ -233,19 +236,139 @@ def edge_densities(g: GradientField, threshold: float) -> tuple[float, float]:
     return v_density, h_density
 
 
+def _pair_windows(height: int, width: int, offset: tuple[int, int]) -> tuple[tuple, tuple]:
+    """Index tuples of the pixel and neighbour windows of the co-occurrence pairs
+    over the last two axes; EmptyPairsError if no in-bounds pair exists."""
+    dx, dy = int(offset[0]), int(offset[1])
+    x0, x1 = max(0, -dx), width - max(0, dx)
+    y0, y1 = max(0, -dy), height - max(0, dy)
+    if x1 <= x0 or y1 <= y0:
+        raise EmptyPairsError(
+            f"offset ({dx}, {dy}) yields no pixel pairs on a {width}x{height} image"
+        )
+    return ((..., slice(y0, y1), slice(x0, x1)),
+            (..., slice(y0 + dy, y1 + dy), slice(x0 + dx, x1 + dx)))
+
+
+def _stack_capacity(height: int, width: int, opts: ExtractionOptions) -> int:
+    """How many images of this shape a stack takes: the fewest that hold
+    _BAND_PIXELS pixels. Raises EmptyPairsError if opts pair no pixels in it."""
+    _pair_windows(height, width, opts.offset)
+    return -(-_BAND_PIXELS // (height * width))
+
+
+_VALUES = np.arange(256, dtype=np.float64)
+
+
+def _bincounts(codes: np.ndarray, bins: int) -> np.ndarray:
+    # (n, bins) counts of each image's codes in [0, bins), codes shaped (n, ...).
+    # One bincount: image i's codes are shifted by i * bins when n > 1. For
+    # n == 1 a strided channel view reshapes without a copy, and bincount's
+    # own cast to intp is the only pass over it.
+    n = len(codes)
+    if n > 1:
+        codes = codes + (np.arange(n) * bins).reshape((n,) + (1,) * (codes.ndim - 1))
+    return np.bincount(codes.reshape(-1), minlength=n * bins).reshape(n, bins)
+
+
+def _colour_stats(stack: np.ndarray) -> np.ndarray:
+    # channel_stats of each channel_histogram, as (n, 9): mean, median, std
+    # of R, then of G, then of B.
+    # Sums run along contiguous rows of 256, which numpy adds in the same
+    # pairwise order as one histogram's sum, so every value keeps its bits.
+    n = len(stack)
+    pixels = stack.reshape(n, -1, 3)
+    size = pixels.shape[1]
+    counts = np.empty((n, 3, 256), dtype=np.intp)
+    for c in range(3):
+        counts[:, c] = _bincounts(pixels[..., c], 256)
+    out = np.empty((n, 3, 3))
+    mean = np.multiply(_VALUES, counts).sum(axis=-1) / size
+    out[..., 0] = mean
+    out[..., 1] = np.argmax(np.cumsum(counts, axis=-1) >= math.ceil(size / 2), axis=-1)
+    dev = _VALUES - mean[..., None]
+    dev *= dev
+    dev *= counts
+    out[..., 2] = np.sqrt(dev.sum(axis=-1) / size)
+    return out.reshape(n, 9)
+
+
+def _run_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    # Sums of consecutive runs of values, counts[i] of them in run i, each to
+    # the bit of summing that run alone. numpy's pairwise order depends on the
+    # summand count, so runs of one count are summed as the rows of a matrix.
+    start = np.cumsum(counts) - counts
+    sums = np.empty(len(counts))
+    for k in np.flatnonzero(np.bincount(counts)):
+        runs = np.flatnonzero(counts == k)
+        sums[runs] = values[start[runs, None] + np.arange(k)].sum(axis=1)
+    return sums
+
+
+def _texture(gray: np.ndarray, levels: int, offset: tuple[int, int]) -> np.ndarray:
+    # texture_features of each image's glcm, as (n, 4): entropy, contrast,
+    # energy, homogeneity. Quantization is a 256-entry lookup of
+    # quantize_gray's floor(v * levels / 256).
+    a_window, b_window = _pair_windows(*gray.shape[1:], offset)
+    level = np.arange(256) * levels // 256
+    codes = (level * levels)[gray[a_window]]
+    codes += level[gray[b_window]]
+    p = _bincounts(codes, levels * levels).astype(np.float64)
+    p /= codes[0].size
+    idx = np.arange(levels, dtype=np.float64)
+    diff = (idx[:, None] - idx[None, :]).ravel()
+    nonzero = p > 0
+    terms = p[nonzero]  # each image's non-zero cells in order, as texture_features sums them
+    terms *= np.log2(terms)
+    out = np.empty((len(p), 4))
+    out[:, 0] = -_run_sums(terms, nonzero.sum(axis=1)) + 0.0  # avoid -0.0
+    out[:, 1] = (diff**2 * p).sum(axis=1)
+    out[:, 2] = (p**2).sum(axis=1)
+    out[:, 3] = (p / (1.0 + np.abs(diff))).sum(axis=1)
+    return out
+
+
+def _edge_densities(gray: np.ndarray, threshold: float) -> np.ndarray:
+    # edge_densities of each image's sobel_gradients, as (n, 2). A response
+    # is an integer of magnitude at most 1020, so int16 holds it exactly, and
+    # |g| > threshold is |g| > min(floor(threshold), 1020).
+    padded = edge_padded(gray, np.int16)
+    cols = padded[:, :-2] + padded[:, 2:]
+    cols += padded[:, 1:-1]
+    cols += padded[:, 1:-1]  # [1, 2, 1] down each column
+    rows = padded[..., :-2] + padded[..., 2:]
+    rows += padded[..., 1:-1]
+    rows += padded[..., 1:-1]  # [1, 2, 1] along each row
+    limit = min(math.floor(threshold), 1020)
+    size = gray[0].size
+    out = np.empty((len(gray), 2))
+    for j, g in enumerate((cols[..., 2:] - cols[..., :-2], rows[:, :-2] - rows[:, 2:])):
+        out[:, j] = (np.abs(g, out=g) > limit).sum(axis=(1, 2)) / size
+    return out
+
+
+def _describe(stack: np.ndarray, opts: ExtractionOptions) -> np.ndarray:
+    """The (n, FEATURE_COUNT) descriptors of an (n, h, w, 3) uint8 stack of images.
+
+    Row i equals the per-image functions' values for stack[i] to the bit.
+    Raises EmptyPairsError if opts.offset pairs no pixels in an h x w image.
+    """
+    gray = luma(stack)
+    out = np.empty((len(stack), FEATURE_COUNT))
+    out[:, 9:13] = _texture(gray, opts.levels, opts.offset)  # first: it checks the offset
+    out[:, :9] = _colour_stats(stack)
+    out[:, 13:] = _edge_densities(gray, opts.edge_threshold)
+    return out
+
+
 def extract_features(img: RgbImage, phong: PhongParams | None = None,
                      opts: ExtractionOptions = DEFAULT_EXTRACTION) -> FeatureVector:
     """Compute the full descriptor, optionally Phong-shading the image first.
 
     Color statistics come from the (possibly shaded) RGB image; texture and
-    edge features from its grayscale conversion.
+    edge features from its grayscale conversion. The values are the stacked
+    kernel's row for a stack of one image.
     """
     if phong is not None:
         img = shade_image(img, phong)
-    values: list[float] = []
-    for channel in ("r", "g", "b"):
-        values.extend(channel_stats(channel_histogram(img, channel)))
-    gray = to_grayscale(img)
-    values.extend(texture_features(glcm(gray, opts.levels, opts.offset)))
-    values.extend(edge_densities(sobel_gradients(gray), opts.edge_threshold))
-    return FeatureVector(tuple(values))
+    return FeatureVector(tuple(_describe(img.pixels[None], opts)[0].tolist()))

@@ -160,20 +160,41 @@ def encode_ppm(img: RgbImage) -> bytes:
     return header + img.pixels.tobytes()
 
 
-def to_grayscale(img: RgbImage) -> GrayImage:
-    """BT.601 luma, rounded half away from zero."""
+def luma(pixels: np.ndarray) -> np.ndarray:
+    """BT.601 luma of (..., 3) uint8 pixels as a (...) uint8 array, rounded half away from zero."""
     # Each uint8 channel converts to float64 exactly inside its multiply, and
     # the products are summed left to right. Every term is non-negative and
     # the weights sum to 1, so luma + 0.5 < 256 and the floor fits uint8.
-    px = img.pixels
     wr, wg, wb = LUMA_WEIGHTS
-    luma = np.multiply(px[..., 0], wr, dtype=np.float64)
-    luma += np.multiply(px[..., 1], wg, dtype=np.float64)
-    luma += np.multiply(px[..., 2], wb, dtype=np.float64)
-    luma += 0.5
-    gray = np.floor(luma, out=luma).astype(np.uint8)
+    y = np.multiply(pixels[..., 0], wr, dtype=np.float64)
+    y += np.multiply(pixels[..., 1], wg, dtype=np.float64)
+    y += np.multiply(pixels[..., 2], wb, dtype=np.float64)
+    y += 0.5
+    return np.floor(y, out=y).astype(np.uint8)
+
+
+def to_grayscale(img: RgbImage) -> GrayImage:
+    """BT.601 luma, rounded half away from zero."""
+    gray = luma(img.pixels)
     gray.flags.writeable = False  # nothing else holds it, so GrayImage need not copy
     return GrayImage(gray)
+
+
+def edge_padded(pixels: np.ndarray, dtype=None) -> np.ndarray:
+    """pixels with a one-pixel border on its last two axes that repeats the nearest
+    edge pixel, as ``np.pad(..., mode="edge")`` pads a plane, in ``dtype``.
+
+    One allocation and five slice copies: the interior, the top and bottom
+    rows, then the left and right columns, corners included.
+    """
+    *lead, h, w = pixels.shape
+    out = np.empty((*lead, h + 2, w + 2), dtype=pixels.dtype if dtype is None else dtype)
+    out[..., 1:-1, 1:-1] = pixels
+    out[..., 0, 1:-1] = pixels[..., 0, :]
+    out[..., -1, 1:-1] = pixels[..., -1, :]
+    out[..., 0] = out[..., 1]
+    out[..., -1] = out[..., -2]
+    return out
 
 
 def read_ppm(path) -> RgbImage:

@@ -25,11 +25,12 @@ from .features import (
     FEATURE_COUNT,
     FEATURE_NAMES,
     ExtractionOptions,
-    extract_features,
+    _describe,
+    _stack_capacity,
 )
 from .image import decode_ppm
 from .search import Normalizer, fit_normalizer, normalize_rows
-from .shading import PhongParams
+from .shading import PhongParams, shade_image
 
 INDEX_FORMAT_VERSION = 2
 IMAGE_EXTENSIONS = (".ppm",)
@@ -141,20 +142,43 @@ def build_index(root, phong: PhongParams | None = None,
                 opts: ExtractionOptions = DEFAULT_EXTRACTION) -> Index:
     """Extract the features of every image under root, one matrix row per sorted path.
 
-    Fails fast on the first file that cannot be decoded or described: the
-    ValueError keeps its class and its message starts with the file's path,
-    so evaluation denominators are never silently wrong.
+    Images are decoded, and shaded when ``phong`` is given, one at a time in
+    path order. Each waits in a pending stack of its shape; a stack goes
+    through the descriptor kernel once it holds ``_BAND_PIXELS`` pixels, and
+    the rest at the end, so no more than one partial stack per shape is held.
+    Row i is ``extract_features`` of paths[i] to the bit.
+
+    Fails fast on the first file in path order that cannot be decoded or
+    described: the ValueError keeps its class and its message starts with the
+    file's path, so evaluation denominators are never silently wrong.
     """
     root = Path(root)
     paths = [rel for rel, _ in scan_corpus(root)]
-    rows = []
-    for rel in paths:
+    features = np.empty((len(paths), FEATURE_COUNT))
+    pending = {}  # image shape -> (its stack's capacity, rows waiting, their pixels)
+
+    def describe(shape):
+        _, rows, images = pending.pop(shape)
+        features[rows] = _describe(np.stack(images), opts)
+
+    for row, rel in enumerate(paths):
         try:
-            fv = extract_features(decode_ppm((root / rel).read_bytes()), phong=phong, opts=opts)
+            img = decode_ppm((root / rel).read_bytes())
+            if phong is not None:
+                img = shade_image(img, phong)
+            shape = img.pixels.shape
+            if shape not in pending:
+                pending[shape] = (_stack_capacity(img.height, img.width, opts), [], [])
         except ValueError as exc:
             raise type(exc)(f"{rel}: {exc}") from exc
-        rows.append(fv.values)
-    return Index(phong=phong, opts=opts, paths=paths, features=rows)
+        capacity, rows, images = pending[shape]
+        rows.append(row)
+        images.append(img.pixels)
+        if len(rows) == capacity:
+            describe(shape)
+    for shape in list(pending):
+        describe(shape)
+    return Index(phong=phong, opts=opts, paths=paths, features=features)
 
 
 def _index_to_doc(ix: Index) -> dict:

@@ -104,8 +104,10 @@ def rank(query: FeatureVector, index: "Index", k: int) -> list[RankedResult]:
         raise ValueError("cannot rank against an empty index")
     q = normalize(query, index.normalizer)
     dist = np.sqrt(((index.normalized - q) ** 2).sum(axis=-1))
-    paths, categories = index.paths, index.categories
+    # Each result's category is its path's first component, as in
+    # index.categories; deriving only these k leaves the other N unbuilt.
+    paths = index.paths
     return [
-        RankedResult(paths[i], categories[i], float(dist[i]))
+        RankedResult(paths[i], paths[i].partition("/")[0], float(dist[i]))
         for i in np.argsort(dist, kind="stable")[:k]
     ]

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import GrayImage, RgbImage, to_grayscale
+from .image import GrayImage, RgbImage, edge_padded, to_grayscale
 
 Vec3 = tuple[float, float, float]
 
@@ -202,7 +202,7 @@ def _normalized(dhdx: np.ndarray, dhdy: np.ndarray) -> np.ndarray:
 
 def _unit_normals(gray: GrayImage, height_scale: float) -> np.ndarray:
     # height_field_normals without NormalField's re-check of every length.
-    return _normalized(*_slopes(np.pad(gray.pixels, 1, mode="edge"), height_scale))
+    return _normalized(*_slopes(edge_padded(gray.pixels), height_scale))
 
 
 def _lattice_normals(gray: GrayImage, height_scale: float,
@@ -273,7 +273,7 @@ def _exact_cosines(gray: GrayImage, p: PhongParams) -> tuple[np.ndarray, np.ndar
     # normal array. With dx, dy = dhdx/nn, dhdy/nn, each cosine is
     # dx*(-v0) + dy*(-v1) + (1/nn)*v2: rounding is sign-symmetric, so that is
     # n0*v0 + n1*v1 + n2*v2 of _unit_normals' n = (-dx, -dy, 1/nn) to the bit.
-    padded = np.pad(gray.pixels, 1, mode="edge")
+    padded = edge_padded(gray.pixels)
     planes = np.empty((2, gray.height, gray.width))
     for y0, y1 in _bands(gray.height, gray.width):
         dx, dy = _slopes(padded[y0:y1 + 2], p.height_scale)

@@ -17,9 +17,10 @@ from shadesearch.image import decode_ppm, encode_ppm
 from conftest import random_rgb
 
 
-def _run_cli(*args: str) -> subprocess.CompletedProcess:
+def _run_cli(*args: str, **environ: str) -> subprocess.CompletedProcess:
     """Run ``python -m shadesearch`` in a child process, so tracebacks show."""
-    env = dict(os.environ, PYTHONPATH=str(Path(shadesearch.__file__).resolve().parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(Path(shadesearch.__file__).resolve().parents[1]),
+               **environ)
     return subprocess.run([sys.executable, "-m", "shadesearch", *args],
                           capture_output=True, text=True, env=env)
 
@@ -125,6 +126,27 @@ class TestQueryCommand:
                                "on a 1x5 image\n")
         assert done.stdout == ""
 
+    def test_unencodable_result_prints_nothing(self, tmp_path, rng, monkeypatch, capsys):
+        corpus = tmp_path / "c"
+        for rel in ("café/00.ppm", "café/01.ppm", "tea/00.ppm"):
+            (corpus / rel).parent.mkdir(parents=True, exist_ok=True)
+            (corpus / rel).write_bytes(encode_ppm(random_rgb(rng, 6, 6)))
+        index, image = tmp_path / "ix.json", corpus / "tea" / "00.ppm"
+        assert main(["index", str(corpus), "--out", str(index)]) == 0
+        done = _run_cli("query", str(index), str(image), PYTHONIOENCODING="ascii")
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: 'ascii' codec can't encode character")
+        assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr
+        for fmt in ("table", "csv", "plain"):  # the same in process, for every format
+            ascii_out = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+            monkeypatch.setattr(sys, "stdout", ascii_out)
+            capsys.readouterr()
+            assert main(["query", str(index), str(image), "--format", fmt]) == 1
+            ascii_out.flush()
+            assert ascii_out.buffer.getvalue() == b""
+            assert capsys.readouterr().err.startswith("error: 'ascii' codec")
+
     def test_missing_index_file_fails(self, workspace, capsys):
         image = workspace["corpus"] / "hue" / "00.ppm"
         assert main(["query", str(workspace["root"] / "nope.json"), str(image)]) != 0
@@ -157,6 +179,21 @@ class TestEvalCommand:
         code = main(["eval", str(shaded_other), str(workspace["unshaded"])])
         assert code != 0
         assert "corpora" in capsys.readouterr().err
+
+    def test_different_extraction_options_fail_naming_both_files(self, workspace, tmp_path):
+        other = tmp_path / "unshaded16.json"
+        assert main(["index", str(workspace["corpus"]), "--out", str(other),
+                     "--levels", "16", "--edge-threshold", "100"]) == 0
+        report = tmp_path / "report"
+        done = _run_cli("eval", str(workspace["shaded"]), str(other),
+                        "--report-dir", str(report))
+        assert done.returncode == 1
+        assert done.stderr == (
+            f"error: {workspace['shaded']} and {other} were built with different extraction "
+            "options: levels is 8 in the first and 16 in the second; rebuild them with the "
+            "same options\n")
+        assert done.stdout == ""
+        assert not report.exists()
 
     def test_swapped_indices_fail(self, workspace, capsys):
         code = main(["eval", str(workspace["unshaded"]), str(workspace["shaded"])])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shadesearch.features import (
+    FEATURE_COUNT,
     EmptyPairsError,
     ExtractionOptions,
     FeatureVector,
@@ -20,6 +21,7 @@ from shadesearch.features import (
     quantize_gray,
     sobel_gradients,
     texture_features,
+    _describe,
 )
 from shadesearch.image import GrayImage, RgbImage, to_grayscale
 from shadesearch.shading import PhongParams, shade_image
@@ -371,6 +373,71 @@ class TestExtractFeatures:
             FeatureVector(tuple(range(14)))
         with pytest.raises(ValueError):
             FeatureVector(tuple([float("nan")] + [0.0] * 14))
+
+
+def oracle_row(pixels: np.ndarray, opts: ExtractionOptions) -> list[float]:
+    """The descriptor of one image from the per-image reference functions."""
+    img = RgbImage(pixels)
+    values = []
+    for channel in ("r", "g", "b"):
+        values.extend(channel_stats(channel_histogram(img, channel)))
+    gray = to_grayscale(img)
+    values.extend(texture_features(glcm(gray, opts.levels, opts.offset)))
+    values.extend(edge_densities(sobel_gradients(gray), opts.edge_threshold))
+    return values
+
+
+def same_bits(got, want) -> bool:
+    return np.array_equal(np.asarray(got, dtype=np.float64).view(np.int64),
+                          np.asarray(want, dtype=np.float64).view(np.int64))
+
+
+@st.composite
+def image_stacks(draw):
+    """1-20 same-shape images of up to 9 x 9 pixels. Masking the low bits of
+    every byte gives flat regions, repeated levels and all-equal images."""
+    n, h, w = draw(st.integers(1, 20)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    data = draw(st.binary(min_size=n * h * w * 3, max_size=n * h * w * 3))
+    mask = draw(st.sampled_from([0xFF, 0xF0, 0x80, 0x00]))
+    return np.frombuffer(data, dtype=np.uint8).reshape(n, h, w, 3) & mask
+
+
+extraction_options = st.builds(
+    ExtractionOptions,
+    levels=st.integers(2, 256),
+    offset=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    edge_threshold=st.floats(min_value=1e-3, max_value=1100.0)
+    | st.sampled_from([5e-324, 0.5, 1.0, 255.0, 1019.5, 1020.0, 1020.5, 1e300]),
+)
+
+
+class TestDescribeKernel:
+    """The stacked kernel against the per-image reference functions."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(stack=image_stacks(), opts=extraction_options)
+    @example(stack=np.zeros((1, 1, 2, 3), dtype=np.uint8), opts=ExtractionOptions())
+    @example(stack=np.full((3, 9, 1, 3), 255, dtype=np.uint8),
+             opts=ExtractionOptions(offset=(0, 1)))
+    def test_rows_equal_the_per_image_functions_to_the_bit(self, stack, opts):
+        try:
+            want = [oracle_row(pixels, opts) for pixels in stack]
+        except EmptyPairsError as exc:
+            with pytest.raises(EmptyPairsError, match=re.escape(str(exc))):
+                _describe(stack, opts)
+            return
+        got = _describe(stack, opts)
+        assert got.shape == (len(stack), FEATURE_COUNT)
+        assert same_bits(got, want)
+        assert same_bits(extract_features(RgbImage(stack[-1]), opts=opts).values, want[-1])
+
+    @pytest.mark.parametrize("levels", [8, 256])
+    def test_large_images_to_the_bit(self, rng, levels):
+        # At 256 levels a 200 x 180 image fills far more than 8192 co-occurrence
+        # cells, past the length at which numpy's pairwise sums split blocks.
+        stack = rng.integers(0, 256, size=(2, 180, 200, 3), dtype=np.uint8)
+        opts = ExtractionOptions(levels=levels, offset=(2, -1), edge_threshold=100.0)
+        assert same_bits(_describe(stack, opts), [oracle_row(p, opts) for p in stack])
 
 
 _FLOAT_OPTIONS = ("ka", "kd", "ks", "ia", "il", "ns", "height_scale", "light_dir", "view_dir",

@@ -12,6 +12,7 @@ from shadesearch.image import (
     PpmDecodeError,
     RgbImage,
     decode_ppm,
+    edge_padded,
     encode_ppm,
     to_grayscale,
 )
@@ -176,6 +177,18 @@ class TestGrayscale:
             pixels = np.stack((np.full_like(g, r), g, b), axis=2).astype(np.uint8)
             got = to_grayscale(RgbImage(pixels)).pixels
             assert got.tobytes() == float_cast_grayscale(pixels).tobytes(), f"red {r}"
+
+
+class TestEdgePadded:
+    @given(lead=st.lists(st.integers(1, 3), max_size=2), h=st.integers(1, 9),
+           w=st.integers(1, 9), dtype=st.sampled_from([None, np.int16, np.int64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_np_pad_edge_on_the_last_two_axes(self, lead, h, w, dtype, seed):
+        pixels = np.random.default_rng(seed).integers(0, 256, (*lead, h, w), dtype=np.uint8)
+        got = edge_padded(pixels, dtype)
+        want = np.pad(pixels, [(0, 0)] * len(lead) + [(1, 1), (1, 1)], mode="edge")
+        assert got.dtype == (np.uint8 if dtype is None else dtype)
+        assert np.array_equal(got, want)
 
 
 class TestImageTypes:

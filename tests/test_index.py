@@ -17,9 +17,10 @@ from shadesearch.features import (
     EmptyPairsError,
     ExtractionOptions,
     FeatureVector,
+    extract_features,
     validate_feature_ranges,
 )
-from shadesearch.image import PpmDecodeError, RgbImage, encode_ppm
+from shadesearch.image import PpmDecodeError, RgbImage, encode_ppm, read_ppm
 from shadesearch.indexing import (
     EmptyCorpusError,
     Index,
@@ -143,6 +144,60 @@ class TestBuildIndex:
         with pytest.raises(EmptyPairsError) as caught:
             build_index(tmp_path)
         assert str(caught.value) == "a/thin.ppm: offset (1, 0) yields no pixel pairs on a 1x5 image"
+
+
+class TestStackedBuild:
+    """build_index describes images in stacks of one shape; rows stay in path order."""
+
+    # (height, width) and count: 64 x 64 and 512 x 1 fill whole stacks of
+    # 32768 pixels (8 and 64 images) and leave partial ones; the others only
+    # partial stacks.
+    SHAPES = (((8, 8), 6), ((64, 64), 18), ((5, 3), 6), ((1, 512), 66))
+
+    def mixed_corpus(self, root, rng) -> list[str]:
+        queue = [shape for shape, count in self.SHAPES for _ in range(count)]
+        order = rng.permutation(len(queue))  # shapes interleave in path order
+        rels = []
+        for i, j in enumerate(order):
+            rel = f"c{i % 3}/{i:03d}.ppm"
+            write_image(root / rel, random_rgb(rng, queue[j][1], queue[j][0]))
+            rels.append(rel)
+        return sorted(rels)
+
+    @pytest.mark.parametrize("phong", [None, PhongParams()])
+    def test_rows_equal_extract_features_of_each_file(self, tmp_path, rng, phong):
+        rels = self.mixed_corpus(tmp_path, rng)
+        opts = ExtractionOptions(levels=16, offset=(1, 0), edge_threshold=200.0)
+        index = build_index(tmp_path, phong=phong, opts=opts)
+        assert list(index.paths) == rels
+        want = [extract_features(read_ppm(tmp_path / rel), phong=phong, opts=opts).values
+                for rel in rels]
+        assert np.array_equal(index.features.view(np.int64),
+                              np.array(want).view(np.int64))
+
+    @pytest.mark.parametrize("first", ["broken", "thin"])
+    def test_first_failing_file_in_path_order_is_named(self, tmp_path, rng, first):
+        self.mixed_corpus(tmp_path, rng)
+        # Both bad files sort after many good ones of every shape.
+        second = "thin" if first == "broken" else "broken"
+        names = {first: "c1/900.ppm", second: "c2/900.ppm"}
+        (tmp_path / names["broken"]).write_bytes(b"P6 2 2 255 junk")
+        write_image(tmp_path / names["thin"], random_rgb(rng, 1, 5))
+        expected = PpmDecodeError if first == "broken" else EmptyPairsError
+        with pytest.raises(expected) as caught:
+            build_index(tmp_path)
+        assert type(caught.value) is expected
+        assert str(caught.value).startswith(f"{names[first]}: ")
+
+    def test_shape_without_pairs_fails_at_its_first_image(self, tmp_path, rng):
+        # Offset (0, 1) pairs no pixels in a one-row image: the first 1 x 512
+        # file in path order is named, though no stack of it was ever full.
+        rels = self.mixed_corpus(tmp_path, rng)
+        first_row = next(rel for rel in rels if read_ppm(tmp_path / rel).height == 1)
+        with pytest.raises(EmptyPairsError) as caught:
+            build_index(tmp_path, opts=ExtractionOptions(offset=(0, 1)))
+        assert str(caught.value) == (f"{first_row}: offset (0, 1) yields no pixel pairs "
+                                     "on a 512x1 image")
 
 
 class TestPersistence:
@@ -387,6 +442,15 @@ class TestColumns:
             run_experiment(ix, k=2, query_mode="all_queries_averaged")
             save_index(ix, tmp_path / "again.json")
             assert "entries" not in vars(ix)
+
+    def test_rank_leaves_categories_unbuilt(self, tmp_path, rng):
+        make_corpus(tmp_path / "c", rng, {"a": 2, "b": 2})
+        save_index(build_index(tmp_path / "c"), tmp_path / "ix.json")
+        loaded = load_index(tmp_path / "ix.json")
+        ranked = rank(FeatureVector(tuple(loaded.features[3].tolist())), loaded, k=3)
+        assert "categories" not in vars(loaded)
+        assert [r.category for r in ranked] == [r.path.split("/")[0] for r in ranked]
+        assert ranked[0].path == "b/01.ppm" and ranked[0].category == "b"
 
     def test_features_become_a_read_only_float64_matrix(self):
         mine = np.array([[1] * FEATURE_COUNT, [2] * FEATURE_COUNT])
