@@ -8,8 +8,10 @@ from Sobel responses. Border handling everywhere is edge replication.
 One kernel, ``_describe``, computes the descriptor of every image in an
 ``(n, h, w, 3)`` uint8 stack of same-shape images at once and returns an
 ``(n, FEATURE_COUNT)`` matrix. ``extract_features`` runs it on a stack of
-one, and ``build_index`` on stacks of about ``_BAND_PIXELS`` pixels, so
-small images share each numpy call. Every row equals, to the bit, what the
+one. ``FeatureStacks`` fills one matrix from images added one at a time: it
+keeps a pending stack per image shape and runs the kernel on a stack once its
+images hold about ``_BAND_PIXELS`` cells, so small images share each numpy
+call; ``build_index`` uses it. Every row equals, to the bit, what the
 per-image functions below give for its image: ``channel_histogram``,
 ``channel_stats``, ``quantize_gray``, ``glcm``, ``texture_features``,
 ``sobel_gradients`` and ``edge_densities``. Those are the documented
@@ -250,11 +252,17 @@ def _pair_windows(height: int, width: int, offset: tuple[int, int]) -> tuple[tup
             (..., slice(y0 + dy, y1 + dy), slice(x0 + dx, x1 + dx)))
 
 
-def _stack_capacity(height: int, width: int, opts: ExtractionOptions) -> int:
-    """How many images of this shape a stack takes: the fewest that hold
-    _BAND_PIXELS pixels. Raises EmptyPairsError if opts pair no pixels in it."""
+# Pending stacks of all shapes together hold at most this many cells (see
+# _image_cells); past it, every pending stack is described early.
+_PENDING_CELLS = 4 * _BAND_PIXELS
+
+
+def _image_cells(height: int, width: int, opts: ExtractionOptions) -> int:
+    """Elements in the largest per-image array the kernel makes: the pixels, the
+    levels x levels co-occurrence cells, or the 256 bins of a channel histogram.
+    Raises EmptyPairsError if opts pair no pixels in a height x width image."""
     _pair_windows(height, width, opts.offset)
-    return -(-_BAND_PIXELS // (height * width))
+    return max(height * width, opts.levels * opts.levels, 256)
 
 
 _VALUES = np.arange(256, dtype=np.float64)
@@ -361,6 +369,11 @@ def _describe(stack: np.ndarray, opts: ExtractionOptions) -> np.ndarray:
     return out
 
 
+def _pixels(img: RgbImage, phong: PhongParams | None) -> np.ndarray:
+    # The pixels the descriptor is taken of: shaded first when phong is given.
+    return (img if phong is None else shade_image(img, phong)).pixels
+
+
 def extract_features(img: RgbImage, phong: PhongParams | None = None,
                      opts: ExtractionOptions = DEFAULT_EXTRACTION) -> FeatureVector:
     """Compute the full descriptor, optionally Phong-shading the image first.
@@ -369,6 +382,58 @@ def extract_features(img: RgbImage, phong: PhongParams | None = None,
     edge features from its grayscale conversion. The values are the stacked
     kernel's row for a stack of one image.
     """
-    if phong is not None:
-        img = shade_image(img, phong)
-    return FeatureVector(tuple(_describe(img.pixels[None], opts)[0].tolist()))
+    return FeatureVector(tuple(_describe(_pixels(img, phong)[None], opts)[0].tolist()))
+
+
+class FeatureStacks:
+    """An (count, FEATURE_COUNT) matrix filled from images added one at a time.
+
+    ``add(row, img)`` makes row ``row`` equal ``extract_features(img, phong,
+    opts)`` to the bit, by the time ``finish`` returns the matrix. Images wait
+    in one pending stack per shape. A stack goes through the kernel once its
+    images hold ``_BAND_PIXELS`` cells (``_image_cells`` each): 128 images at
+    8 x 8 and 8 levels, 8 at 64 x 64, one from 32768 pixels or 182 levels up.
+    When the pending stacks of all shapes hold more than ``_PENDING_CELLS``,
+    all of them go through early, so a corpus of many shapes is never held
+    whole.
+    """
+
+    def __init__(self, count: int, phong: PhongParams | None = None,
+                 opts: ExtractionOptions = DEFAULT_EXTRACTION):
+        self._matrix = np.empty((count, FEATURE_COUNT))
+        self._phong = phong
+        self._opts = opts
+        self._pending = {}  # image shape -> (cells per image, rows waiting, their pixels)
+        self._pending_cells = 0
+
+    def add(self, row: int, img: RgbImage) -> None:
+        """Queue img for row ``row``; raises what ``extract_features`` raises for it.
+
+        EmptyPairsError is raised at the first image of a shape.
+        """
+        pixels = _pixels(img, self._phong)
+        shape = pixels.shape
+        if shape not in self._pending:
+            self._pending[shape] = (_image_cells(*shape[:2], self._opts), [], [])
+        cells, rows, images = self._pending[shape]
+        rows.append(row)
+        images.append(pixels)
+        self._pending_cells += cells
+        if len(rows) * cells >= _BAND_PIXELS:
+            self._flush(shape)
+        elif self._pending_cells > _PENDING_CELLS:
+            self._flush_all()
+
+    def finish(self) -> np.ndarray:
+        """Describe every pending stack and return the matrix."""
+        self._flush_all()
+        return self._matrix
+
+    def _flush(self, shape) -> None:
+        cells, rows, images = self._pending.pop(shape)
+        self._pending_cells -= cells * len(rows)
+        self._matrix[rows] = _describe(np.stack(images), self._opts)
+
+    def _flush_all(self) -> None:
+        for shape in list(self._pending):
+            self._flush(shape)

@@ -25,12 +25,11 @@ from .features import (
     FEATURE_COUNT,
     FEATURE_NAMES,
     ExtractionOptions,
-    _describe,
-    _stack_capacity,
+    FeatureStacks,
 )
 from .image import decode_ppm
 from .search import Normalizer, fit_normalizer, normalize_rows
-from .shading import PhongParams, shade_image
+from .shading import PhongParams
 
 INDEX_FORMAT_VERSION = 2
 IMAGE_EXTENSIONS = (".ppm",)
@@ -142,11 +141,10 @@ def build_index(root, phong: PhongParams | None = None,
                 opts: ExtractionOptions = DEFAULT_EXTRACTION) -> Index:
     """Extract the features of every image under root, one matrix row per sorted path.
 
-    Images are decoded, and shaded when ``phong`` is given, one at a time in
-    path order. Each waits in a pending stack of its shape; a stack goes
-    through the descriptor kernel once it holds ``_BAND_PIXELS`` pixels, and
-    the rest at the end, so no more than one partial stack per shape is held.
-    Row i is ``extract_features`` of paths[i] to the bit.
+    Images are decoded one at a time in path order and go to a
+    ``FeatureStacks``, which shades them when ``phong`` is given and describes
+    them in stacks of one shape; it holds a bounded number of decoded images,
+    never the corpus. Row i is ``extract_features`` of paths[i] to the bit.
 
     Fails fast on the first file in path order that cannot be decoded or
     described: the ValueError keeps its class and its message starts with the
@@ -154,31 +152,13 @@ def build_index(root, phong: PhongParams | None = None,
     """
     root = Path(root)
     paths = [rel for rel, _ in scan_corpus(root)]
-    features = np.empty((len(paths), FEATURE_COUNT))
-    pending = {}  # image shape -> (its stack's capacity, rows waiting, their pixels)
-
-    def describe(shape):
-        _, rows, images = pending.pop(shape)
-        features[rows] = _describe(np.stack(images), opts)
-
+    stacks = FeatureStacks(len(paths), phong, opts)
     for row, rel in enumerate(paths):
         try:
-            img = decode_ppm((root / rel).read_bytes())
-            if phong is not None:
-                img = shade_image(img, phong)
-            shape = img.pixels.shape
-            if shape not in pending:
-                pending[shape] = (_stack_capacity(img.height, img.width, opts), [], [])
+            stacks.add(row, decode_ppm((root / rel).read_bytes()))
         except ValueError as exc:
             raise type(exc)(f"{rel}: {exc}") from exc
-        capacity, rows, images = pending[shape]
-        rows.append(row)
-        images.append(img.pixels)
-        if len(rows) == capacity:
-            describe(shape)
-    for shape in list(pending):
-        describe(shape)
-    return Index(phong=phong, opts=opts, paths=paths, features=features)
+    return Index(phong=phong, opts=opts, paths=paths, features=stacks.finish())
 
 
 def _index_to_doc(ix: Index) -> dict:

@@ -3,6 +3,8 @@ import re
 import statistics
 import sys
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,6 +13,7 @@ from shadesearch.features import (
     FEATURE_COUNT,
     EmptyPairsError,
     ExtractionOptions,
+    FeatureStacks,
     FeatureVector,
     Glcm,
     channel_histogram,
@@ -23,6 +26,7 @@ from shadesearch.features import (
     texture_features,
     _describe,
 )
+from shadesearch import features
 from shadesearch.image import GrayImage, RgbImage, to_grayscale
 from shadesearch.shading import PhongParams, shade_image
 
@@ -438,6 +442,53 @@ class TestDescribeKernel:
         stack = rng.integers(0, 256, size=(2, 180, 200, 3), dtype=np.uint8)
         opts = ExtractionOptions(levels=levels, offset=(2, -1), edge_threshold=100.0)
         assert same_bits(_describe(stack, opts), [oracle_row(p, opts) for p in stack])
+
+
+
+class TestFeatureStacks:
+    """Pending stacks per shape, described into one matrix in bounded memory."""
+
+    def stack_sizes(self, shapes, opts, rng, phong=None):
+        # Adds one random image per (height, width) in shapes, rows in reverse,
+        # and returns the sizes of the stacks the kernel saw; rows must equal
+        # extract_features of each image to the bit.
+        images = [random_rgb(rng, w, h) for h, w in shapes]
+        stacks = FeatureStacks(len(images), phong, opts)
+        with mock.patch.object(features, "_describe", wraps=features._describe) as kernel:
+            for row in reversed(range(len(images))):
+                stacks.add(row, images[row])
+                assert stacks._pending_cells <= features._PENDING_CELLS
+            got = stacks.finish()
+        want = [extract_features(img, phong=phong, opts=opts).values for img in images]
+        assert same_bits(got, want)
+        return [len(call.args[0]) for call in kernel.call_args_list]
+
+    def test_small_images_share_stacks_of_the_band(self, rng):
+        # 8 x 8 at 8 levels: each image counts as one 256-bin channel histogram.
+        sizes = self.stack_sizes([(8, 8)] * 300, ExtractionOptions(), rng)
+        assert sizes == [128, 128, 44]
+
+    def test_many_cooccurrence_cells_make_stacks_of_one(self, rng):
+        # At 256 levels one image's 65536 co-occurrence cells fill the band,
+        # however few its pixels, so a stack never holds (n, 65536) arrays of n > 1.
+        sizes = self.stack_sizes([(2, 2)] * 5, ExtractionOptions(levels=256), rng)
+        assert sizes == [1] * 5
+
+    def test_many_shapes_hold_a_bounded_number_of_images(self, rng):
+        # Every image has its own shape, so no stack ever fills; all pending
+        # stacks go through early whenever the bound is passed.
+        shapes = [(h, w) for h in range(1, 9) for w in range(2, 9)]
+        order = rng.permutation(len(shapes))
+        with mock.patch.object(features, "_PENDING_CELLS", 2048):
+            sizes = self.stack_sizes([shapes[i] for i in order], ExtractionOptions(),
+                                     rng, phong=PhongParams())
+        assert sizes == [1] * len(shapes)
+
+    def test_shape_without_pairs_fails_at_its_first_image(self, rng):
+        stacks = FeatureStacks(2, opts=ExtractionOptions(offset=(0, 1)))
+        stacks.add(0, random_rgb(rng, 4, 4))
+        with pytest.raises(EmptyPairsError, match="on a 4x1 image"):
+            stacks.add(1, random_rgb(rng, 4, 1))
 
 
 _FLOAT_OPTIONS = ("ka", "kd", "ks", "ia", "il", "ns", "height_scale", "light_dir", "view_dir",

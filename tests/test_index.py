@@ -5,12 +5,13 @@ import math
 import os
 import re
 import signal
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from shadesearch import indexing
+from shadesearch import features, indexing
 from shadesearch.features import (
     FEATURE_COUNT,
     FEATURE_NAMES,
@@ -199,6 +200,32 @@ class TestStackedBuild:
         assert str(caught.value) == (f"{first_row}: offset (0, 1) yields no pixel pairs "
                                      "on a 512x1 image")
 
+
+    def test_many_distinct_shapes_are_not_held_whole(self, tmp_path, rng):
+        # No two files share a shape, so no stack fills. With the pending bound
+        # at eight images' cells, every ninth file decoded sends all nine
+        # pending stacks through, and the rows stay exact.
+        shapes = [(h, w) for h in range(2, 8) for w in range(2, 8)]
+        for i, j in enumerate(rng.permutation(len(shapes))):
+            write_image(tmp_path / f"c{i % 2}/{i:02d}.ppm", random_rgb(rng, *shapes[j]))
+        decoded, described = [], []
+        decode, kernel = indexing.decode_ppm, features._describe
+
+        def counted_decode(data):
+            decoded.append(1)
+            return decode(data)
+
+        def counted_kernel(stack, opts):
+            described.append(len(decoded))
+            return kernel(stack, opts)
+
+        with mock.patch.object(features, "_PENDING_CELLS", 8 * 256), \
+                mock.patch.object(indexing, "decode_ppm", counted_decode), \
+                mock.patch.object(features, "_describe", counted_kernel):
+            index = build_index(tmp_path)
+        assert described == [decoded for decoded in (9, 18, 27, 36) for _ in range(9)]
+        want = [extract_features(read_ppm(tmp_path / rel)).values for rel in index.paths]
+        assert np.array_equal(index.features.view(np.int64), np.array(want).view(np.int64))
 
 class TestPersistence:
     def test_round_trip_equality(self, tmp_path, rng):
